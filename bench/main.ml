@@ -20,6 +20,7 @@
      dune exec bench/main.exe -- repair-baseline -- rewrite the BENCH_repair.json baseline
      dune exec bench/main.exe -- serve        -- serve engine cold/hit/warm, gated vs BENCH_serve.json
      dune exec bench/main.exe -- serve-baseline -- rewrite the BENCH_serve.json baseline
+     dune exec bench/main.exe -- self-test    -- the five gates' verdicts on perturbed baselines
 
    Absolute times differ from the paper (different workload realisations and
    a simulated substrate); the comparisons that matter are the shapes:
@@ -33,6 +34,7 @@ module Assays = Mf_bioassay.Assays
 module Benchmarks = Mf_chips.Benchmarks
 module Codesign = Mfdft.Codesign
 module Domain_pool = Mf_util.Domain_pool
+module Json = Mf_util.Json
 module Pool = Mfdft.Pool
 module Pso = Mf_pso.Pso
 module Rng = Mf_util.Rng
@@ -455,92 +457,78 @@ let verify_bench () =
    counters from the process-wide solver telemetry, machine-readable
    output gated against the committed BENCH_ilp.json baseline. *)
 
-let perf_measure () =
-  let params = Codesign.quick_params in
-  List.map
-    (fun chip_name ->
-      let chip = Option.get (Benchmarks.by_name chip_name) in
-      Mf_lp.Simplex.Stats.reset ();
-      Mf_ilp.Ilp.Stats.reset ();
-      let rng = Rng.create ~seed:params.Codesign.seed in
-      let t0 = Unix.gettimeofday () in
-      let pool =
-        Domain_pool.with_pool ~jobs (fun domains ->
-            Pool.build ~size:params.Codesign.pool_size
-              ~node_limit:params.Codesign.ilp_node_limit ~domains ~rng chip)
-      in
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      let objectives =
-        match pool with
-        | Error _ -> []
-        | Ok pool -> Array.to_list (Pool.attempt_objectives pool)
-      in
-      {
-        Perf_json.chip = chip_name;
-        wall_ms;
-        pivots = Mf_lp.Simplex.Stats.pivots ();
-        dual_pivots = Atomic.get Mf_lp.Simplex.Stats.dual_pivots;
-        nodes = Atomic.get Mf_ilp.Ilp.Stats.nodes;
-        warm_eligible = Atomic.get Mf_ilp.Ilp.Stats.warm_eligible;
-        warm_taken = Atomic.get Mf_ilp.Ilp.Stats.warm_taken;
-        cache_hits = Atomic.get Mf_ilp.Ilp.Stats.cache_hits;
-        phase1_solves = Atomic.get Mf_lp.Simplex.Stats.phase1_solves;
-        presolve_fixed = Atomic.get Mf_ilp.Ilp.Stats.presolve_fixed;
-        cover_cuts = Atomic.get Mf_ilp.Ilp.Stats.cover_cuts;
-        objectives;
-      })
-    chips
-
-let baseline_path = "BENCH_ilp.json"
+let perf_checks =
+  Ledger.
+    [
+      ("wall_ms", Time 50.);
+      ("pivots", Info);
+      ("dual_pivots", Info);
+      ("nodes", Count);
+      ("warm_eligible", Info);
+      ("warm_taken", Info);
+      ("cache_hits", Info);
+      ("phase1_solves", Info);
+      ("presolve_fixed", Info);
+      ("cover_cuts", Info);
+      ("objectives", Objectives);
+    ]
 
 let perf ~write_baseline () =
   Format.printf "@.== Perf: LP core on the pool-build matrix (pools are per-chip; each@.";
   Format.printf "   feeds all of ivd/pid/cpa) — %d job%s ==@.@." jobs (if jobs = 1 then "" else "s");
-  let entries = perf_measure () in
   Format.printf "%-12s %10s %10s %8s %7s %7s %7s %7s@." "chip" "wall[ms]" "pivots" "dual"
     "nodes" "warm%" "cache" "phase1";
-  List.iter
-    (fun (e : Perf_json.entry) ->
-      Format.printf "%-12s %10.0f %10d %8d %7d %6.1f%% %7d %7d@." e.Perf_json.chip
-        e.Perf_json.wall_ms e.Perf_json.pivots e.Perf_json.dual_pivots e.Perf_json.nodes
-        (if e.Perf_json.warm_eligible = 0 then 0.
-         else
-           100. *. float_of_int e.Perf_json.warm_taken
-           /. float_of_int e.Perf_json.warm_eligible)
-        e.Perf_json.cache_hits e.Perf_json.phase1_solves)
-    entries;
-  let doc = { Perf_json.jobs; cores = Perf_json.this_cores (); entries } in
-  if write_baseline then begin
-    Perf_json.save baseline_path doc;
-    Format.printf "@.baseline written to %s@." baseline_path
-  end
-  else begin
-    match Perf_json.load baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- perf-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let sum f = List.fold_left (fun acc e -> acc + f e) 0 in
-      let sumf f = List.fold_left (fun acc e -> acc +. f e) 0. in
-      let b_pivots = sum (fun (e : Perf_json.entry) -> e.Perf_json.pivots) baseline.Perf_json.entries in
-      let c_pivots = sum (fun (e : Perf_json.entry) -> e.Perf_json.pivots) entries in
-      let b_wall = sumf (fun (e : Perf_json.entry) -> e.Perf_json.wall_ms) baseline.Perf_json.entries in
-      let c_wall = sumf (fun (e : Perf_json.entry) -> e.Perf_json.wall_ms) entries in
-      Format.printf "@.vs baseline (%s): pivots %d -> %d (%.2fx), wall %.0f ms -> %.0f ms (%.2fx)@."
-        baseline_path b_pivots c_pivots
-        (float_of_int b_pivots /. float_of_int (max 1 c_pivots))
-        b_wall c_wall
-        (b_wall /. max 1. c_wall);
-      let failures, notes = Perf_json.compare_against ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] -> Format.printf "perf gate: PASS (within %.0f%% of baseline, objectives no worse)@."
-                 ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "perf gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  let params = Codesign.quick_params in
+  let entries =
+    List.map
+      (fun chip_name ->
+        let chip = Option.get (Benchmarks.by_name chip_name) in
+        Mf_lp.Simplex.Stats.reset ();
+        Mf_ilp.Ilp.Stats.reset ();
+        let rng = Rng.create ~seed:params.Codesign.seed in
+        let t0 = Unix.gettimeofday () in
+        let pool =
+          Domain_pool.with_pool ~jobs (fun domains ->
+              Pool.build ~size:params.Codesign.pool_size
+                ~node_limit:params.Codesign.ilp_node_limit ~domains ~rng chip)
+        in
+        let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let objectives =
+          match pool with
+          | Error _ -> []
+          | Ok pool -> Array.to_list (Pool.attempt_objectives pool)
+        in
+        let get = Atomic.get in
+        let counters =
+          [
+            ("pivots", Mf_lp.Simplex.Stats.pivots ());
+            ("dual_pivots", get Mf_lp.Simplex.Stats.dual_pivots);
+            ("nodes", get Mf_ilp.Ilp.Stats.nodes);
+            ("warm_eligible", get Mf_ilp.Ilp.Stats.warm_eligible);
+            ("warm_taken", get Mf_ilp.Ilp.Stats.warm_taken);
+            ("cache_hits", get Mf_ilp.Ilp.Stats.cache_hits);
+            ("phase1_solves", get Mf_lp.Simplex.Stats.phase1_solves);
+            ("presolve_fixed", get Mf_ilp.Ilp.Stats.presolve_fixed);
+            ("cover_cuts", get Mf_ilp.Ilp.Stats.cover_cuts);
+          ]
+        in
+        let c k = List.assoc k counters in
+        Format.printf "%-12s %10.0f %10d %8d %7d %6.1f%% %7d %7d@." chip_name wall_ms
+          (c "pivots") (c "dual_pivots") (c "nodes")
+          (100. *. float_of_int (c "warm_taken") /. float_of_int (max 1 (c "warm_eligible")))
+          (c "cache_hits") (c "phase1_solves");
+        let objective = function None -> Json.Null | Some o -> Json.Num o in
+        let counters = List.map (fun (k, v) -> (k, Ledger.int v)) counters in
+        {
+          Ledger.name = chip_name;
+          values =
+            (("wall_ms", Ledger.num wall_ms) :: counters)
+            @ [ ("objectives", Json.Arr (List.map objective objectives)) ];
+        })
+      chips
+  in
+  Ledger.gate ~checks:perf_checks ~path:"BENCH_ilp.json" ~write_baseline
+    (Ledger.doc ~scenario:"perf" ~jobs entries)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel branch-and-bound: jobs sweep over the path-synthesis ILP on
@@ -697,7 +685,20 @@ let ilp_sweep () =
 
 module Scheduler = Mf_sched.Scheduler
 
-let sched_baseline_path = "BENCH_sched.json"
+let sched_checks =
+  Ledger.[ ("wall_ms", Time 50.); ("makespan", Exact); ("steps", Drift); ("routes", Drift) ]
+
+let sched_entry name ~wall_ms ~makespan ~steps ~routes =
+  {
+    Ledger.name;
+    values =
+      [
+        ("wall_ms", Ledger.num wall_ms);
+        ("makespan", Ledger.int (Option.value makespan ~default:(-1)));
+        ("steps", Ledger.int steps);
+        ("routes", Ledger.int routes);
+      ];
+  }
 
 let sched ~write_baseline () =
   Format.printf "@.== Sched: scheduler fast path vs reference, and bounded codesign fitness ==@.@.";
@@ -742,13 +743,8 @@ let sched ~write_baseline () =
             (match fast_m with Some m -> string_of_int m | None -> "-")
             fast_ms ref_ms (ref_ms /. fast_ms) steps routes;
           entries :=
-            {
-              Perf_json.s_name = chip_name ^ "/" ^ assay;
-              s_wall_ms = fast_ms;
-              s_makespan = (match fast_m with Some m -> m | None -> -1);
-              s_steps = steps;
-              s_routes = routes;
-            }
+            sched_entry (chip_name ^ "/" ^ assay) ~wall_ms:fast_ms ~makespan:fast_m ~steps
+              ~routes
             :: !entries)
         assays)
     chips;
@@ -802,47 +798,14 @@ let sched ~write_baseline () =
         if not identical then
           hard_failures := "codesign results differ between cutoff on and off" :: !hard_failures;
         entries :=
-          {
-            Perf_json.s_name = "codesign:ivd_chip/cpa";
-            s_wall_ms = wall_on;
-            s_makespan = (match on.Codesign.exec_final with Some m -> m | None -> -1);
-            s_steps = steps_on;
-            s_routes = routes_on;
-          }
+          sched_entry "codesign:ivd_chip/cpa" ~wall_ms:wall_on ~makespan:on.Codesign.exec_final
+            ~steps:steps_on ~routes:routes_on
           :: !entries
       | (Error f, _ | _, Error f) ->
         hard_failures := ("codesign failed: " ^ Mf_util.Fail.to_string f) :: !hard_failures));
-  let doc =
-    { Perf_json.s_jobs = jobs; s_cores = Perf_json.this_cores (); s_entries = List.rev !entries }
-  in
-  (match !hard_failures with
-   | [] -> ()
-   | fs ->
-     Format.printf "@.sched gate: FAIL@.";
-     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev fs);
-     exit 1);
-  if write_baseline then begin
-    Perf_json.save_sched sched_baseline_path doc;
-    Format.printf "@.baseline written to %s@." sched_baseline_path
-  end
-  else begin
-    match Perf_json.load_sched sched_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- sched-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_sched ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "sched gate: PASS (within %.0f%% of baseline wall, makespans/objectives exact)@."
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "sched gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Ledger.gate ~failures:(List.rev !hard_failures) ~checks:sched_checks ~path:"BENCH_sched.json"
+    ~write_baseline
+    (Ledger.doc ~scenario:"sched" ~jobs (List.rev !entries))
 
 (* ------------------------------------------------------------------ *)
 (* Family scaling sweep: makespan simulation and ILP path synthesis wall
@@ -855,7 +818,17 @@ let sched ~write_baseline () =
 module Families = Mf_chips.Families
 module Synth_assay = Mf_bioassay.Synth_assay
 
-let scale_baseline_path = "BENCH_scale.json"
+let scale_checks =
+  Ledger.
+    [
+      ("channels", Exact);
+      ("valves", Exact);
+      ("sched_ms", Time 50.);
+      ("makespan", Exact);
+      ("ilp_ms", Time 50.);
+      ("added", Exact);
+      ("paths", Drift);
+    ]
 
 let scale_point (f : Families.family) size =
   let salt =
@@ -894,15 +867,24 @@ let scale_point (f : Families.family) size =
       (Mf_grid.Grid.graph (Chip.grid chip));
     !n
   in
+  let name = Printf.sprintf "%s/%d" f.Families.name size in
+  let channels = count_channels chip and valves = Chip.n_valves chip in
+  let makespan = Option.value makespan ~default:(-1) in
+  Format.printf "%-12s %9d %8d %10.2f %10d %10.0f %7d %7d@." name channels valves sched_ms
+    makespan ilp_ms added paths;
+  let int = Ledger.int and num = Ledger.num in
   {
-    Perf_json.c_name = Printf.sprintf "%s/%d" f.Families.name size;
-    c_channels = count_channels chip;
-    c_valves = Chip.n_valves chip;
-    c_sched_ms = sched_ms;
-    c_makespan = (match makespan with Some m -> m | None -> -1);
-    c_ilp_ms = ilp_ms;
-    c_added = added;
-    c_paths = paths;
+    Ledger.name;
+    values =
+      [
+        ("channels", int channels);
+        ("valves", int valves);
+        ("sched_ms", num sched_ms);
+        ("makespan", int makespan);
+        ("ilp_ms", num ilp_ms);
+        ("added", int added);
+        ("paths", int paths);
+      ];
   }
 
 let scale ~write_baseline () =
@@ -911,42 +893,11 @@ let scale ~write_baseline () =
     "sched[ms]" "makespan" "ilp[ms]" "added" "paths";
   let entries =
     List.concat_map
-      (fun (f : Families.family) ->
-        List.map
-          (fun size ->
-            let e = scale_point f size in
-            Format.printf "%-12s %9d %8d %10.2f %10d %10.0f %7d %7d@." e.Perf_json.c_name
-              e.Perf_json.c_channels e.Perf_json.c_valves e.Perf_json.c_sched_ms
-              e.Perf_json.c_makespan e.Perf_json.c_ilp_ms e.Perf_json.c_added
-              e.Perf_json.c_paths;
-            e)
-          f.Families.sweep_sizes)
+      (fun (f : Families.family) -> List.map (scale_point f) f.Families.sweep_sizes)
       Families.all
   in
-  let doc = { Perf_json.c_jobs = jobs; c_cores = Perf_json.this_cores (); c_entries = entries } in
-  if write_baseline then begin
-    Perf_json.save_scale scale_baseline_path doc;
-    Format.printf "@.baseline written to %s@." scale_baseline_path
-  end
-  else begin
-    match Perf_json.load_scale scale_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- scale-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_scale ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "scale gate: PASS (within %.0f%% of baseline wall, shapes/makespans/objectives \
-            exact)@."
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "scale gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Ledger.gate ~checks:scale_checks ~path:"BENCH_scale.json" ~write_baseline
+    (Ledger.doc ~scenario:"scale" ~jobs entries)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-adaptive repair vs full codesign: every benchmark chip x assay —
@@ -962,7 +913,20 @@ let scale ~write_baseline () =
 
 module Reconfig = Mf_repair.Reconfig
 
-let repair_baseline_path = "BENCH_repair.json"
+let repair_checks =
+  Ledger.
+    [
+      ("full_ms", Time_note);
+      ("repair_ms", Time 50.);
+      ("dropped", Exact);
+      ("added", Exact);
+      ("detected", Exact);
+      ("total", Exact);
+      ("vectors", Exact);
+      ("waived", Exact);
+      ("makespan", Exact);
+    ]
+
 let repair_min_speedup = 10.
 
 let repair_bench ~write_baseline () =
@@ -1014,18 +978,22 @@ let repair_bench ~write_baseline () =
            repair_ms speedup st.Reconfig.damaged st.Reconfig.added
            cov.Mf_faults.Coverage.detected cov.Mf_faults.Coverage.total_faults
            (List.length rr.Reconfig.untestable);
+         let int = Ledger.int and num = Ledger.num in
          entries :=
            {
-             Perf_json.r_name = name;
-             r_full_ms = full_ms;
-             r_repair_ms = repair_ms;
-             r_dropped = st.Reconfig.damaged;
-             r_added = st.Reconfig.added;
-             r_detected = cov.Mf_faults.Coverage.detected;
-             r_total = cov.Mf_faults.Coverage.total_faults;
-             r_vectors = Mf_testgen.Vectors.count rr.Reconfig.suite;
-             r_waived = List.length rr.Reconfig.untestable;
-             r_makespan = (match rr.Reconfig.exec_after with Some m -> m | None -> -1);
+             Ledger.name;
+             values =
+               [
+                 ("full_ms", num full_ms);
+                 ("repair_ms", num repair_ms);
+                 ("dropped", int st.Reconfig.damaged);
+                 ("added", int st.Reconfig.added);
+                 ("detected", int cov.Mf_faults.Coverage.detected);
+                 ("total", int cov.Mf_faults.Coverage.total_faults);
+                 ("vectors", int (Mf_testgen.Vectors.count rr.Reconfig.suite));
+                 ("waived", int (List.length rr.Reconfig.untestable));
+                 ("makespan", int (Option.value rr.Reconfig.exec_after ~default:(-1)));
+               ];
            }
            :: !entries)
   in
@@ -1069,39 +1037,9 @@ let repair_bench ~write_baseline () =
       with_pool chip (fun pool ->
           run_point (Printf.sprintf "%s/%d" fname size) ~pool chip app))
     [ ("fpva", 5); ("storage", 6) ];
-  let doc =
-    { Perf_json.r_jobs = jobs; r_cores = Perf_json.this_cores (); r_entries = List.rev !entries }
-  in
-  (match !hard_failures with
-   | [] -> ()
-   | fs ->
-     Format.printf "@.repair gate: FAIL@.";
-     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev fs);
-     exit 1);
-  if write_baseline then begin
-    Perf_json.save_repair repair_baseline_path doc;
-    Format.printf "@.baseline written to %s@." repair_baseline_path
-  end
-  else begin
-    match Perf_json.load_repair repair_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- repair-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_repair ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "repair gate: PASS (>=%.0fx vs codesign, 0 cert errors, counts exact, wall \
-            within %.0f%%)@."
-           repair_min_speedup
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "repair gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Ledger.gate ~failures:(List.rev !hard_failures) ~checks:repair_checks
+    ~path:"BENCH_repair.json" ~write_baseline
+    (Ledger.doc ~scenario:"repair" ~jobs (List.rev !entries))
 
 (* ------------------------------------------------------------------ *)
 (* Serve-mode engine benchmark: the daemon's value proposition in numbers
@@ -1116,10 +1054,17 @@ let repair_bench ~write_baseline () =
 
 module Engine = Mf_serve.Engine
 module Sproto = Mf_serve.Protocol
-module Sjson = Mf_serve.Json
 module Scache = Mf_serve.Cache
 
-let serve_baseline_path = "BENCH_serve.json"
+let serve_checks =
+  Ledger.
+    [
+      ("fingerprint", Exact);
+      ("digest", Exact);
+      ("cold_ms", Time 50.);
+      ("hit_ms", Time 5.);
+      ("warm_jobs_per_s", Rate);
+    ]
 let serve_pairs = [ ("ivd_chip", "ivd"); ("ra30_chip", "pid"); ("mrna_chip", "cpa") ]
 let serve_min_hit_ratio = 100.
 
@@ -1154,8 +1099,8 @@ let serve_bench ~write_baseline () =
     }
   in
   let digest_of payload =
-    match Sjson.parse payload with
-    | Ok j -> (match Sjson.str_field "result_digest" j with Some d -> d | None -> "?")
+    match Json.parse payload with
+    | Ok j -> (match Json.str_field "result_digest" j with Some d -> d | None -> "?")
     | Error _ -> "?"
   in
   (* one cold solve through the engine, timed from submit to outcome *)
@@ -1221,11 +1166,14 @@ let serve_bench ~write_baseline () =
           Format.printf "%-16s %10.0f %10.3f %8.0fx  %s@." name cold_ms hit_ms ratio digest;
           Some
             ( {
-                Perf_json.v_name = name;
-                v_fingerprint = fp;
-                v_digest = digest;
-                v_cold_ms = cold_ms;
-                v_hit_ms = hit_ms;
+                Ledger.name;
+                values =
+                  [
+                    ("fingerprint", Json.Str fp);
+                    ("digest", Json.Str digest);
+                    ("cold_ms", Ledger.num cold_ms);
+                    ("hit_ms", Ledger.num hit_ms);
+                  ];
               },
               cold_payload,
               s ))
@@ -1235,7 +1183,7 @@ let serve_bench ~write_baseline () =
      cache (and jobs=1, exercising the cross-parallelism claim when
      MFDFT_JOBS is exported) must reproduce the first payload line *)
   (match entries with
-   | ({ Perf_json.v_name; _ }, cold_payload, _) :: _ ->
+   | ({ Ledger.name = v_name; _ }, cold_payload, _) :: _ ->
      let chip, assay = List.hd serve_pairs in
      let dir2 = fresh_dir "indep" in
      let eng2 = Engine.create ~jobs:1 ~state_dir:dir2 () in
@@ -1262,7 +1210,7 @@ let serve_bench ~write_baseline () =
         match Engine.submit eng s ~on_event:ignore ~on_done:ignore with
         | Ok (_, Engine.Cached _) -> incr served
         | Ok (_, (Engine.Enqueued _ | Engine.Joined _)) | Error _ ->
-          fail "warm phase: %s not served from the cache" e.Perf_json.v_name)
+          fail "warm phase: %s not served from the cache" e.Ledger.name)
       entries
   done;
   let warm_wall = max 1e-6 (now () -. t0) in
@@ -1276,44 +1224,13 @@ let serve_bench ~write_baseline () =
     st.Engine.cache.Scache.corrupt;
   Engine.shutdown eng;
   rm state_dir;
-  let doc =
-    {
-      Perf_json.v_jobs = jobs;
-      v_cores = Perf_json.this_cores ();
-      v_warm_jobs_per_s = warm_jobs_per_s;
-      v_entries = List.map (fun (e, _, _) -> e) entries;
-    }
+  (* warm throughput is a run-level figure: it rides as its own entry *)
+  let warm =
+    { Ledger.name = "warm"; values = [ ("warm_jobs_per_s", Ledger.num warm_jobs_per_s) ] }
   in
-  (match !hard_failures with
-   | [] -> ()
-   | fs ->
-     Format.printf "@.serve gate: FAIL@.";
-     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev fs);
-     exit 1);
-  if write_baseline then begin
-    Perf_json.save_serve serve_baseline_path doc;
-    Format.printf "@.baseline written to %s@." serve_baseline_path
-  end
-  else begin
-    match Perf_json.load_serve serve_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- serve-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_serve ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "serve gate: PASS (hits >=%.0fx under cold, payloads byte-identical, \
-            fingerprints/digests exact, wall within %.0f%%)@."
-           serve_min_hit_ratio
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "serve gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Ledger.gate ~failures:(List.rev !hard_failures) ~checks:serve_checks ~path:"BENCH_serve.json"
+    ~write_baseline
+    (Ledger.doc ~scenario:"serve" ~jobs (List.map (fun (e, _, _) -> e) entries @ [ warm ]))
 
 (* ------------------------------------------------------------------ *)
 (* bechamel micro-benchmarks *)
@@ -1379,9 +1296,134 @@ let micro () =
   speedup ()
 
 (* ------------------------------------------------------------------ *)
+(* Gate self-test (run by [dune runtest]): each committed baseline, put
+   through [Ledger.compare] against perturbed copies of itself under its
+   scenario's checks, must give the verdict the gate is meant to give.
+   A case that names a check kind the scenario lacks does not apply. *)
+
+type expect = Pass | Note | Fail
+
+let self_test () =
+  let gates =
+    [
+      ("BENCH_ilp.json", perf_checks);
+      ("BENCH_sched.json", sched_checks);
+      ("BENCH_scale.json", scale_checks);
+      ("BENCH_repair.json", repair_checks);
+      ("BENCH_serve.json", serve_checks);
+    ]
+  in
+  let bad = ref 0 in
+  List.iter
+    (fun (path, checks) ->
+      let base =
+        match Ledger.load path with Ok d -> d | Error m -> failwith ("self-test: " ^ m)
+      in
+      let kind_of key = List.assoc key checks in
+      (* rewrite the first value whose check satisfies [pick], or every such
+         value with [~all]; None when no value qualifies *)
+      let map ?(all = false) pick f (d : Ledger.doc) =
+        let hit = ref false in
+        let entry (e : Ledger.entry) =
+          let values =
+            List.map
+              (fun (k, v) ->
+                if pick (kind_of k) && (all || not !hit) then (
+                  hit := true;
+                  (k, f (kind_of k) v))
+                else (k, v))
+              e.values
+          in
+          { e with Ledger.values }
+        in
+        let d = { d with Ledger.entries = List.map entry d.Ledger.entries } in
+        if !hit then Some d else None
+      in
+      let scale k plus = function Json.Num x -> Json.Num ((x *. k) +. plus) | v -> v in
+      let time = function Ledger.Time _ -> true | _ -> false in
+      let slack = function Ledger.Time s -> s | _ -> 0. in
+      (* rewrite the first attempt's objective *)
+      let objective f =
+        map (( = ) Ledger.Objectives) (fun _ -> function
+          | Json.Arr (Json.Num o :: rest) -> Json.Arr (f o :: rest)
+          | v -> v)
+      in
+      let jobs d = Some { d with Ledger.jobs = d.Ledger.jobs + 3 } in
+      let entries f d = Some { d with Ledger.entries = f d.Ledger.entries } in
+      let cases =
+        [
+          ("unchanged", Option.some, Pass);
+          ("wall +20%", map time (fun _ -> scale 1.2 0.), Pass);
+          ("wall +30% + slack", map time (fun c -> scale 1.3 (slack c)), Fail);
+          ( "jobs differ, walls x2, rates /2",
+            (fun d ->
+              Option.bind (jobs d)
+                (map ~all:true (fun c -> time c || c = Ledger.Rate) (function
+                  | Ledger.Rate -> scale 0.5 0.
+                  | _ -> scale 2. 100.))),
+            Note );
+          ( "jobs differ, nodes x2",
+            (fun d -> Option.bind (jobs d) (map (( = ) Ledger.Count) (fun _ -> scale 2. 10.))),
+            Fail );
+          ( "exact field changed",
+            map (( = ) Ledger.Exact) (fun _ -> function
+              | Json.Str s -> Json.Str (s ^ "0") | v -> scale 1. 1. v),
+            Fail );
+          ( "noted field changed",
+            map (fun c -> c = Ledger.Drift || c = Ledger.Time_note) (fun _ -> scale 2. 100.),
+            Note );
+          ("objective worse", objective (fun o -> Json.Num (o +. 1.)), Fail);
+          ("objective better", objective (fun o -> Json.Num (o -. 1.)), Note);
+          ("attempt lost", objective (fun _ -> Json.Null), Fail);
+          ("warm rate -30%", map (( = ) Ledger.Rate) (fun _ -> scale 0.7 0.), Fail);
+          ("entry missing", entries List.tl, Fail);
+          ( "extra entry",
+            entries (fun es -> es @ [ { (List.hd es) with Ledger.name = "extra" } ]),
+            Fail );
+          ( "extra key",
+            entries (function
+              | e :: es -> { e with Ledger.values = ("extra", Json.Null) :: e.values } :: es
+              | [] -> []),
+            Fail );
+        ]
+      in
+      let verdict (failures, notes) =
+        match (failures, notes) with [], [] -> Pass | [], _ -> Note | _ -> Fail
+      in
+      let applied = ref 0 in
+      let expect label want got =
+        incr applied;
+        if want <> got then begin
+          incr bad;
+          Format.printf "self-test: %s: %s gave the wrong verdict@." path label
+        end
+      in
+      List.iter
+        (fun (label, perturb, want) ->
+          Option.iter
+            (fun current ->
+              expect label want (verdict (Ledger.compare ~checks ~baseline:base current)))
+            (perturb base))
+        cases;
+      (* a truncated and a missing baseline file fail the gate *)
+      let text = In_channel.with_open_text path In_channel.input_all in
+      let broken = Filename.temp_file "mfdft-ledger" ".json" in
+      Out_channel.with_open_text broken (fun oc ->
+          output_string oc (String.sub text 0 (String.length text / 2)));
+      expect "unreadable baseline" Fail (verdict (Ledger.verdict ~checks ~path:broken base));
+      Sys.remove broken;
+      expect "missing baseline" Fail (verdict (Ledger.verdict ~checks ~path:broken base));
+      Format.printf "self-test: %s: %d cases@." path !applied)
+    gates;
+  if !bad > 0 then exit 1
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  if args = [ "self-test" ] then (
+    self_test ();
+    exit 0);
   let args = if args = [] then [ "table1"; "fig7"; "fig8"; "fig9" ] else args in
   let full = List.mem "full" args in
   let params =

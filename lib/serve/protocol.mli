@@ -42,11 +42,11 @@ val parse_request : string -> (request, string) result
 val resolve_chip : source -> (Mf_arch.Chip.t, string) result
 val resolve_assay : source -> (Mf_bioassay.Seqgraph.t, string) result
 
-val submit_to_json : submit -> Json.t
+val submit_to_json : submit -> Mf_util.Json.t
 (** Persistable spec (the deadline, meaningless across a restart, is
     dropped).  [submit_of_json (submit_to_json s)] round-trips the rest. *)
 
-val submit_of_json : Json.t -> (submit, string) result
+val submit_of_json : Mf_util.Json.t -> (submit, string) result
 
 val payload_line : fingerprint:string -> Mfdft.Codesign.result -> string
 (** The final result line: fingerprint, {!Fingerprint.result_digest}, and

@@ -1,3 +1,5 @@
+module Json = Mf_util.Json
+
 type endpoint = Unix_socket of string | Tcp of int
 
 type config = {
@@ -180,6 +182,15 @@ let listen_socket = function
     fd
 
 let run ?tune config =
+  (* A process-directed signal goes to any thread that does not block it.
+     Landing on the solver thread (parked in [Engine.wait_for_work]) or on
+     a pool domain, it would only set the runtime's pending flag, and no
+     thread would run OCaml code to act on it.  So SIGTERM/SIGINT are
+     blocked here, before [Engine.create] spawns the domains (which inherit
+     the mask), and unblocked only in the acceptor, where the signal
+     interrupts [select]. *)
+  let stop_signals = [ Sys.sigterm; Sys.sigint ] in
+  let saved_mask = Thread.sigmask Unix.SIG_BLOCK stop_signals in
   let engine =
     Engine.create ~jobs:config.jobs ~mem_capacity:config.mem_capacity
       ~disk_capacity:config.disk_capacity ~checkpoint_every:config.checkpoint_every ?tune
@@ -202,6 +213,7 @@ let run ?tune config =
   let acceptor =
     Thread.create
       (fun () ->
+        ignore (Thread.sigmask Unix.SIG_UNBLOCK stop_signals);
         let rec loop () =
           match Unix.select [ listen_fd; stop_r ] [] [] (-1.0) with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -211,12 +223,15 @@ let run ?tune config =
               (match Unix.accept listen_fd with
                | exception Unix.Unix_error (_, _, _) -> ()
                | fd, _ ->
+                 (* connection threads inherit the mask: keep them blocked *)
+                 ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
                  ignore
                    (Thread.create
                       (fun () ->
                         try handle_conn engine request_shutdown fd
                         with e -> log "connection error: %s" (Printexc.to_string e))
-                      ()));
+                      ());
+                 ignore (Thread.sigmask Unix.SIG_UNBLOCK stop_signals));
               loop ()
             end
         in
@@ -241,5 +256,6 @@ let run ?tune config =
    | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
    | Tcp _ -> ());
   Engine.shutdown engine;
+  ignore (Thread.sigmask Unix.SIG_SETMASK saved_mask);
   let left = Engine.pending engine in
   if left > 0 then log "stopped; %d job(s) checkpointed for restart" left else log "stopped"

@@ -73,35 +73,20 @@ let pp_list ppf = function
     Fmt.pf ppf "%d error%s, %d warning%s" e (if e = 1 then "" else "s") w
       (if w = 1 then "" else "s")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_value d =
+  let opt key f = Option.map (fun v -> (key, f v)) in
+  let str s = Json.Str s and int i = Json.Num (float_of_int i) in
+  Json.Obj
+    (List.filter_map Fun.id
+       [
+         Some ("code", str d.code);
+         Some ("severity", str (severity_name d.severity));
+         Some ("message", str d.message);
+         opt "file" str d.where.file;
+         opt "line" int d.where.line;
+         opt "col" int d.where.col;
+         opt "subject" str d.subject;
+       ])
 
-let to_json d =
-  let fields =
-    [
-      Some (Printf.sprintf "\"code\":\"%s\"" (json_escape d.code));
-      Some (Printf.sprintf "\"severity\":\"%s\"" (severity_name d.severity));
-      Some (Printf.sprintf "\"message\":\"%s\"" (json_escape d.message));
-      Option.map (fun f -> Printf.sprintf "\"file\":\"%s\"" (json_escape f)) d.where.file;
-      Option.map (fun l -> Printf.sprintf "\"line\":%d" l) d.where.line;
-      Option.map (fun c -> Printf.sprintf "\"col\":%d" c) d.where.col;
-      Option.map (fun s -> Printf.sprintf "\"subject\":\"%s\"" (json_escape s)) d.subject;
-    ]
-  in
-  "{" ^ String.concat "," (List.filter_map Fun.id fields) ^ "}"
-
-let json_list ds =
-  match ds with
-  | [] -> "[]"
-  | ds -> "[\n" ^ String.concat ",\n" (List.map (fun d -> "  " ^ to_json d) ds) ^ "\n]"
+let to_json d = Json.to_line (json_value d)
+let json_list ds = Json.to_lines (Json.Arr (List.map json_value ds))

@@ -3,7 +3,7 @@
    deduplication, and the kill/restart differential — everything the daemon
    does, driven synchronously through Mf_serve.Engine. *)
 
-module Json = Mf_serve.Json
+module Json = Mf_util.Json
 module Fingerprint = Mf_serve.Fingerprint
 module Cache = Mf_serve.Cache
 module Engine = Mf_serve.Engine

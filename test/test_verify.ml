@@ -40,7 +40,37 @@ let test_rendering () =
   let json = Diag.to_json d in
   List.iter
     (fun needle -> check Alcotest.bool needle true (contains json needle))
-    [ "\"MF003\""; "\"error\""; "x.chip"; "valve v1" ]
+    [ "\"MF003\""; "\"error\""; "x.chip"; "valve v1" ];
+  (* every field survives the shared codec, escapes included *)
+  let module Json = Mf_util.Json in
+  let nasty = "say \"hi\" \\ back\nline\rret\001ctl" in
+  let d =
+    Diag.warningf ~where:(Diag.span ~file:"dir\\x \"q\".chip" ~line:12 ~col:4 ())
+      ~subject:nasty ~code:"MF201" "%s" nasty
+  in
+  let line = Diag.to_json d in
+  check Alcotest.bool "one line" false (String.contains line '\n');
+  let j =
+    match Json.parse line with Ok j -> j | Error e -> Alcotest.failf "to_json: %s" e
+  in
+  let str = Alcotest.(option string) in
+  check str "code" (Some "MF201") (Json.str_field "code" j);
+  check str "severity" (Some "warning") (Json.str_field "severity" j);
+  check str "message" (Some nasty) (Json.str_field "message" j);
+  check str "subject" (Some nasty) (Json.str_field "subject" j);
+  check str "file" d.where.file (Json.str_field "file" j);
+  check Alcotest.(option int) "line" (Some 12) (Json.int_field "line" j);
+  check Alcotest.(option int) "col" (Some 4) (Json.int_field "col" j);
+  let bare = Diag.infof ~code:"MF300" "plain" in
+  check Alcotest.(option string) "absent span" None
+    (Option.map Json.to_line (Json.member "file" (Result.get_ok (Json.parse (Diag.to_json bare)))));
+  List.iter
+    (fun ds ->
+      match Json.parse (Diag.json_list ds) with
+      | Ok (Json.Arr items) ->
+        check Alcotest.int "json_list length" (List.length ds) (List.length items)
+      | Ok _ | Error _ -> Alcotest.failf "json_list of %d is not an array" (List.length ds))
+    [ []; [ d ]; [ d; bare; d ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Linter *)
