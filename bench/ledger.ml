@@ -15,7 +15,6 @@ type doc = { scenario : string; jobs : int; cores : int; entries : entry list }
 type check =
   | Time of float  (** ms; fails above 1.25 x old + slack; only at equal jobs *)
   | Time_note  (** ms; a note above 1.25 x old + 50 *)
-  | Count  (** fails above 1.25 x old + 5, at any job count *)
   | Rate  (** per second; fails below old / 1.25 - 2; only at equal jobs *)
   | Exact  (** any change fails *)
   | Drift  (** any change is a note *)
@@ -24,7 +23,6 @@ type check =
           1e-6 or a lost attempt fails, a better value or a new success is a
           note.  Truncated searches are trajectory-dependent, so better is
           never a failure. *)
-  | Info  (** recorded, not compared *)
 
 let tolerance = 1.25
 
@@ -94,7 +92,6 @@ let compare ~checks ~(baseline : doc) (current : doc) : string list * string lis
   let check_value name key check (b : Json.t) (c : Json.t) =
     let shown = Printf.sprintf "%s -> %s" (Json.to_line b) (Json.to_line c) in
     match (check, b, c) with
-    | Info, _, _ -> ()
     | Exact, _, _ -> if b <> c then fail "%s: %s changed %s" name key shown
     | Drift, _, _ -> if b <> c then note "%s: %s changed %s" name key shown
     | Time slack, Num b, Num c ->
@@ -102,9 +99,6 @@ let compare ~checks ~(baseline : doc) (current : doc) : string list * string lis
         fail "%s: %s regression %.3f -> %.3f (>%.0f%% over baseline)" name key b c pct
     | Time_note, Num b, Num c ->
       if c > (tolerance *. b) +. 50. then note "%s: %s drifted %.0f -> %.0f" name key b c
-    | Count, Num b, Num c ->
-      if c > (tolerance *. b) +. 5. then
-        fail "%s: %s regression %.0f -> %.0f (>%.0f%% over baseline)" name key b c pct
     | Rate, Num b, Num c ->
       if same_jobs && c < (b /. tolerance) -. 2. then
         fail "%s: %s regression %.1f -> %.1f (>%.0f%% below baseline)" name key b c pct

@@ -457,19 +457,24 @@ let verify_bench () =
    counters from the process-wide solver telemetry, machine-readable
    output gated against the committed BENCH_ilp.json baseline. *)
 
+(* Every counter is a pure function of the search trajectory, which is
+   jobs-invariant, so each must match the baseline exactly at any job
+   count: a changed count means a changed pivot rule, factorisation or node
+   order, not noise. *)
 let perf_checks =
   Ledger.
     [
       ("wall_ms", Time 50.);
-      ("pivots", Info);
-      ("dual_pivots", Info);
-      ("nodes", Count);
-      ("warm_eligible", Info);
-      ("warm_taken", Info);
-      ("cache_hits", Info);
-      ("phase1_solves", Info);
-      ("presolve_fixed", Info);
-      ("cover_cuts", Info);
+      ("pivots", Exact);
+      ("dual_pivots", Exact);
+      ("nodes", Exact);
+      ("warm_eligible", Exact);
+      ("warm_taken", Exact);
+      ("cache_hits", Exact);
+      ("phase1_solves", Exact);
+      ("presolve_fixed", Exact);
+      ("cover_cuts", Exact);
+      ("refactors", Exact);
       ("objectives", Objectives);
     ]
 
@@ -510,6 +515,7 @@ let perf ~write_baseline () =
             ("phase1_solves", get Mf_lp.Simplex.Stats.phase1_solves);
             ("presolve_fixed", get Mf_ilp.Ilp.Stats.presolve_fixed);
             ("cover_cuts", get Mf_ilp.Ilp.Stats.cover_cuts);
+            ("refactors", get Mf_lp.Simplex.Stats.refactors);
           ]
         in
         let c k = List.assoc k counters in
@@ -1320,15 +1326,15 @@ let self_test () =
         match Ledger.load path with Ok d -> d | Error m -> failwith ("self-test: " ^ m)
       in
       let kind_of key = List.assoc key checks in
-      (* rewrite the first value whose check satisfies [pick], or every such
+      (* rewrite the first value whose key satisfies [pick], or every such
          value with [~all]; None when no value qualifies *)
-      let map ?(all = false) pick f (d : Ledger.doc) =
+      let map_keys ?(all = false) pick f (d : Ledger.doc) =
         let hit = ref false in
         let entry (e : Ledger.entry) =
           let values =
             List.map
               (fun (k, v) ->
-                if pick (kind_of k) && (all || not !hit) then (
+                if pick k && (all || not !hit) then (
                   hit := true;
                   (k, f (kind_of k) v))
                 else (k, v))
@@ -1339,6 +1345,8 @@ let self_test () =
         let d = { d with Ledger.entries = List.map entry d.Ledger.entries } in
         if !hit then Some d else None
       in
+      (* the same, picking by the value's check *)
+      let map ?all pick = map_keys ?all (fun k -> pick (kind_of k)) in
       let scale k plus = function Json.Num x -> Json.Num ((x *. k) +. plus) | v -> v in
       let time = function Ledger.Time _ -> true | _ -> false in
       let slack = function Ledger.Time s -> s | _ -> 0. in
@@ -1362,12 +1370,18 @@ let self_test () =
                   | Ledger.Rate -> scale 0.5 0.
                   | _ -> scale 2. 100.))),
             Note );
-          ( "jobs differ, nodes x2",
-            (fun d -> Option.bind (jobs d) (map (( = ) Ledger.Count) (fun _ -> scale 2. 10.))),
-            Fail );
           ( "exact field changed",
             map (( = ) Ledger.Exact) (fun _ -> function
               | Json.Str s -> Json.Str (s ^ "0") | v -> scale 1. 1. v),
+            Fail );
+          ("pivot count +1", map_keys (( = ) "pivots") (fun _ -> scale 1. 1.), Fail);
+          ("refactor count +1", map_keys (( = ) "refactors") (fun _ -> scale 1. 1.), Fail);
+          ( "jobs differ, pivots and refactors +1",
+            (fun d ->
+              Option.bind (jobs d)
+                (map_keys ~all:true
+                   (fun k -> k = "pivots" || k = "refactors")
+                   (fun _ -> scale 1. 1.))),
             Fail );
           ( "noted field changed",
             map (fun c -> c = Ledger.Drift || c = Ledger.Time_note) (fun _ -> scale 2. 100.),

@@ -333,7 +333,6 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
     let aborted = ref None in
     let abort f = if !aborted = None then aborted := Some f in
     let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 64 in
-    let fix_of fixings v = List.assoc_opt v fixings in
     let most_fractional values =
       let best = ref (-1) in
       let best_prio = ref max_int in
@@ -387,10 +386,13 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
        in the (model, fixings, seed basis) inputs *)
     let relax_task fixings seed () =
       if Mf_util.Chaos.strike Ilp_worker then raise Worker_strike;
-      Lp.solve_b ?budget ~fix:(fix_of fixings) ?warm:seed t.lp
+      Lp.solve_b ?budget ~fix:fixings ?warm:seed t.lp
     in
     let debug = Sys.getenv_opt "MFDFT_ILP_DEBUG" <> None in
-    let t_start = Sys.time () in
+    (* wall time on a monotonic clock: [Sys.time] is process CPU time,
+       which sums over every domain solving relaxations *)
+    let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
+    let t_start = now () in
     (* ---- root: cover-cut rounds ---- *)
     let root = ref { fixings = []; bound = neg_infinity; parent = None } in
     let root_pushable = ref true in
@@ -484,7 +486,7 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
             Printf.eprintf
               "[ilp] batch=%d size=%d nodes=%d rows=%d incumbent=%g elapsed=%.1fs\n%!"
               !batch_no (Array.length batch) !nodes (Lp.n_rows t.lp) !incumbent_obj
-              (Sys.time () -. t_start);
+              (now () -. t_start);
           let rows_at_dispatch = Lp.n_rows t.lp in
           (* cache consultation and warm-seed selection stay on the
              coordinator, in batch order *)

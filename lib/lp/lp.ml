@@ -204,17 +204,17 @@ let extend_basis (wb : basis) (k : compiled) : Simplex.basis option =
 
 let no_info = { primal_pivots = 0; dual_pivots = 0; warm = false; fell_back = false }
 
-let solve_b ?max_iters ?budget ?(fix = fun _ -> None) ?warm t =
+let solve_b ?max_iters ?budget ?(fix = []) ?warm t =
   let k = compile t in
   let lower = Array.copy k.k_lower in
   let upper = Array.copy k.k_upper in
-  for v = 0 to k.k_nv - 1 do
-    match fix v with
-    | None -> ()
-    | Some x ->
+  (* reversed, so a variable listed twice ends at its first binding *)
+  List.iter
+    (fun (v, x) ->
+      if v < 0 || v >= k.k_nv then invalid_arg "Lp.solve_b: bad fixed variable";
       lower.(v) <- x;
-      upper.(v) <- x
-  done;
+      upper.(v) <- x)
+    (List.rev fix);
   let sx_warm = Option.bind warm (fun wb -> extend_basis wb k) in
   match Simplex.solve ?max_iters ?budget ?warm:sx_warm k.k_problem ~lower ~upper ~c:k.k_c with
   | exception Failure msg ->

@@ -29,8 +29,8 @@ type basis
     builder (or on an earlier, smaller state of it).  Opaque; pass it back
     via [?warm].  Remains usable after rows are appended — lazy cuts extend
     the basis with their logicals basic — and under different [?fix]
-    functions, which is how branch-and-bound children reuse the parent
-    node's basis. *)
+    lists, which is how branch-and-bound children reuse the parent node's
+    basis. *)
 
 type info = Simplex.info = {
   primal_pivots : int;
@@ -92,15 +92,19 @@ val presolve : ?integer:(var -> bool) -> t -> presolve_stats
 val solve_b :
   ?max_iters:int ->
   ?budget:Mf_util.Budget.t ->
-  ?fix:(var -> float option) ->
+  ?fix:(var * float) list ->
   ?warm:basis ->
   t ->
   result * basis option * info
-(** Solve the LP (relaxation).  [fix v = Some x] clamps both bounds of [v]
-    to [x] for this solve only — how branch-and-bound explores subproblems
-    without rebuilding the model.  The builder is reusable: more rows and
-    variables may be added after a solve and the model solved again, which
-    is how lazy loop-elimination constraints are injected.
+(** Solve the LP (relaxation).  Each [(v, x)] in [fix] clamps both bounds
+    of [v] to [x] for this solve only — how branch-and-bound explores
+    subproblems without rebuilding the model.  A variable listed twice
+    takes its first binding; the list is applied to copies of the bound
+    arrays in one pass, so the cost is O(variables + fixings).  Raises
+    [Invalid_argument] on a variable not in the builder.  The builder is
+    reusable: more rows and variables may be added after a solve and the
+    model solved again, which is how lazy loop-elimination constraints are
+    injected.
 
     [warm] re-optimises from a previously returned basis with the dual
     simplex; when that breaks down the solve transparently restarts cold
@@ -109,11 +113,11 @@ val solve_b :
     [Optimal] results whose basis is storable; it is independent of the
     builder's later mutations.
 
-    [budget] bounds wall-clock time; see {!Simplex.solve}.  Never raises:
-    resource exhaustion surfaces as [Feasible]/[Iter_limit] and numerical
-    breakdown as [Numerical]. *)
+    [budget] bounds wall-clock time; see {!Simplex.solve}.  Apart from a
+    bad [fix], never raises: resource exhaustion surfaces as
+    [Feasible]/[Iter_limit] and numerical breakdown as [Numerical]. *)
 
 val solve :
-  ?max_iters:int -> ?budget:Mf_util.Budget.t -> ?fix:(var -> float option) -> t -> result
+  ?max_iters:int -> ?budget:Mf_util.Budget.t -> ?fix:(var * float) list -> t -> result
 (** [solve t] is [solve_b t] without the warm-start plumbing — kept for
     callers that need only the result. *)

@@ -169,49 +169,186 @@ let row_dot core rho j =
 (* ------------------------------------------------------------------ *)
 (* factorisation and derived quantities *)
 
+(* A binary min-heap of ints in [heap.(0 .. !n-1)]. *)
+let heap_push (heap : int array) n x =
+  let i = ref !n in
+  incr n;
+  while !i > 0 && heap.((!i - 1) / 2) > x do
+    heap.(!i) <- heap.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  heap.(!i) <- x
+
+let heap_pop (heap : int array) n =
+  let top = heap.(0) in
+  decr n;
+  let x = heap.(!n) in
+  let i = ref 0 in
+  let sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= !n then sifting := false
+    else begin
+      let c = if l + 1 < !n && heap.(l + 1) < heap.(l) then l + 1 else l in
+      if heap.(c) < x then begin
+        heap.(!i) <- heap.(c);
+        i := c
+      end
+      else sifting := false
+    end
+  done;
+  heap.(!i) <- x;
+  top
+
+(* Sort [a.(0 .. n-1)] ascending.  Nonzero patterns are short, so the
+   common case is an insertion sort in place, without allocation. *)
+let sort_prefix (a : int array) n =
+  if n > 32 then begin
+    let sorted = Array.sub a 0 n in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 a 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* The basic columns in (nnz, index) order, in O(n): a counting sort on
+   nnz over the columns taken in index order.  Basic columns are distinct
+   (see [basis_shape_ok]). *)
+let factor_order core =
+  let nnz j = Array.length core.cols.(j).idx in
+  let is_basic = Array.make core.n false in
+  let max_nnz = Array.fold_left (fun acc j -> max acc (nnz j)) 0 core.basic in
+  let start = Array.make (max_nnz + 2) 0 in
+  Array.iter
+    (fun j ->
+      is_basic.(j) <- true;
+      start.(nnz j + 1) <- start.(nnz j + 1) + 1)
+    core.basic;
+  for d = 1 to max_nnz + 1 do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let order = Array.make core.m 0 in
+  for j = 0 to core.n - 1 do
+    if is_basic.(j) then begin
+      order.(start.(nnz j)) <- j;
+      start.(nnz j) <- start.(nnz j) + 1
+    end
+  done;
+  order
+
 (* Rebuild the eta file from the current basis.  Columns enter in
    (nnz, index) order; each is FTRANned through the etas built so far and
    pivots on its largest-magnitude entry among still-unpivoted rows
    (strict comparison: ties go to the smallest row).  Returns false when
    the basis is numerically singular.  Row assignment may permute, so
-   callers must recompute [xb] afterwards. *)
+   callers must recompute [xb] afterwards.
+
+   The work per column is proportional to the nonzeros it touches, not to
+   m: the column is loaded sparsely and the nonzero pattern of [w] is
+   tracked with a mark array.  Each factorisation eta pivots on a distinct
+   row, so eta [e] can only fire once its pivot row is in the pattern; a
+   min-heap of such eta indices applies exactly the etas a dense FTRAN
+   would fire, in creation order, with the same arithmetic per entry.  The
+   pivot search and the eta build run over the pattern (sorted by row for
+   the eta, whose entries [btran] sums in row order).  The result is
+   bit-identical to the dense elimination. *)
 let factorize core =
   Atomic.incr Stats.refactors;
+  let m = core.m in
   core.n_etas <- 0;
   core.fresh <- 0;
-  let order = Array.copy core.basic in
-  Array.sort
-    (fun j1 j2 ->
-      let n1 = Array.length core.cols.(j1).idx
-      and n2 = Array.length core.cols.(j2).idx in
-      if n1 <> n2 then compare n1 n2 else compare j1 j2)
-    order;
-  let pivoted = Array.make core.m false in
-  let new_basic = Array.make core.m (-1) in
-  let w = Array.make core.m 0. in
+  let order = factor_order core in
+  let new_basic = Array.make m (-1) in
+  let eta_at = Array.make m (-1) (* row -> the eta pivoting on it; -1 = unpivoted *) in
+  let w = Array.make m 0. (* all zero between columns *) in
+  let marked = Array.make m false in
+  let pat = Array.make m 0 in
+  let n_pat = ref 0 in
+  let heap = Array.make (max 1 m) 0 (* eta indices, a binary min-heap *) in
+  let n_heap = ref 0 in
+  (* row [i] joins the pattern once etas below [first] have gone by: only
+     a later eta on it can still fire *)
+  let mark i first =
+    if not marked.(i) then begin
+      marked.(i) <- true;
+      pat.(!n_pat) <- i;
+      incr n_pat;
+      if eta_at.(i) >= first then heap_push heap n_heap eta_at.(i)
+    end
+  in
   let ok = ref true in
   let k = ref 0 in
-  while !ok && !k < core.m do
+  while !ok && !k < m do
     let j = order.(!k) in
-    load_col core j w;
-    ftran core w;
+    let c = core.cols.(j) in
+    for p = 0 to Array.length c.idx - 1 do
+      w.(c.idx.(p)) <- c.v.(p);
+      mark c.idx.(p) 0
+    done;
+    while !n_heap > 0 do
+      let e = heap_pop heap n_heap in
+      let eta = core.etas.(e) in
+      let t = w.(eta.er) in
+      if t <> 0. then begin
+        w.(eta.er) <- 0.;
+        let ei = eta.ei and ev = eta.ev in
+        for p = 0 to Array.length ei - 1 do
+          w.(ei.(p)) <- w.(ei.(p)) +. (ev.(p) *. t);
+          mark ei.(p) (e + 1)
+        done
+      end
+    done;
     let r = ref (-1) in
     let best = ref 0. in
-    for i = 0 to core.m - 1 do
-      if not pivoted.(i) && abs_float w.(i) > !best then begin
-        best := abs_float w.(i);
-        r := i
+    for q = 0 to !n_pat - 1 do
+      let i = pat.(q) in
+      if eta_at.(i) < 0 then begin
+        let a = abs_float w.(i) in
+        if a > !best || (a = !best && i < !r) then begin
+          best := a;
+          r := i
+        end
       end
     done;
     if !best <= eps_singular then ok := false
     else begin
-      push_eta core (eta_of w !r);
-      pivoted.(!r) <- true;
-      new_basic.(!r) <- j;
+      let r = !r in
+      let np = !n_pat in
+      sort_prefix pat np;
+      let kept = ref 0 in
+      for q = 0 to np - 1 do
+        if pat.(q) = r || w.(pat.(q)) <> 0. then incr kept
+      done;
+      let ei = Array.make !kept 0 in
+      let ev = Array.make !kept 0. in
+      let wr = w.(r) in
+      let p = ref 0 in
+      for q = 0 to np - 1 do
+        let i = pat.(q) in
+        if i = r || w.(i) <> 0. then begin
+          ei.(!p) <- i;
+          ev.(!p) <- (if i = r then 1. /. wr else -.w.(i) /. wr);
+          incr p
+        end;
+        w.(i) <- 0.;
+        marked.(i) <- false
+      done;
+      n_pat := 0;
+      push_eta core { er = r; ei; ev };
+      eta_at.(r) <- !k;
+      new_basic.(r) <- j;
       incr k
     end
   done;
-  if !ok then Array.blit new_basic 0 core.basic 0 core.m;
+  if !ok then Array.blit new_basic 0 core.basic 0 m;
   (* the factorisation's own etas are the baseline, not drift *)
   core.fresh <- 0;
   !ok
@@ -669,6 +806,15 @@ let basis_shape_ok ~m ~n (wb : basis) =
   Array.length wb.basic = m
   && Array.length wb.vstat = n
   && Array.for_all (fun j -> j >= 0 && j < n && wb.vstat.(j) = Basic) wb.basic
+  && begin
+       let seen = Array.make n false in
+       Array.for_all
+         (fun j ->
+           let fresh = not seen.(j) in
+           seen.(j) <- true;
+           fresh)
+         wb.basic
+     end
   && begin
        let n_basic = ref 0 in
        Array.iter (fun s -> if s = Basic then incr n_basic) wb.vstat;

@@ -307,6 +307,62 @@ let upper_bound_random_prop =
          | _ -> false)
       | _ -> QCheck.assume_fail ())
 
+(* ------------------------------------------------------------------ *)
+(* Pinned branch-and-bound trajectories on the path ILP, where the search
+   decides the result: fpva/3 and fpva/4 prove optimality through lazy
+   loop cuts (each cut round re-seeds its node through [extend_basis]), and
+   ring/8 exhausts its node budget.  The golden values are the exact effort
+   and result of the search; any change to a pivot rule, the basis
+   factorisation or the node order shows up here, at any job count. *)
+
+let trajectory ~family ~size ~seed ~jobs =
+  let f = Option.get (Mf_chips.Families.by_name family) in
+  let chip = f.Mf_chips.Families.generate_size ~size (Rng.create ~seed) in
+  let run pool = Mf_testgen.Pathgen.generate ~node_limit:1_200 ?pool chip in
+  let result = if jobs = 1 then run None else Domain_pool.with_pool ~jobs (fun p -> run (Some p)) in
+  match result with
+  | Error fl -> Alcotest.fail (Mf_util.Fail.to_string fl)
+  | Ok c -> c
+
+let stats ~nodes ~batches ~warm ~cache_hits ~primal ~dual =
+  {
+    Ilp.zero_stats with
+    Ilp.rs_nodes = nodes;
+    rs_batches = batches;
+    rs_warm_eligible = warm;
+    rs_warm_taken = warm;
+    rs_cache_hits = cache_hits;
+    rs_primal_pivots = primal;
+    rs_dual_pivots = dual;
+  }
+
+let pinned =
+  [
+    ( "fpva", 3, 1,
+      stats ~nodes:159 ~batches:13 ~warm:156 ~cache_hits:1 ~primal:344 ~dual:1021,
+      3, 3, [], false );
+    ( "fpva", 4, 1,
+      stats ~nodes:383 ~batches:27 ~warm:380 ~cache_hits:1 ~primal:548 ~dual:3172,
+      9, 3, [], false );
+    ( "ring", 8, 1,
+      stats ~nodes:1200 ~batches:86 ~warm:1194 ~cache_hits:3 ~primal:1869 ~dual:4466,
+      0, 6, [ 10; 52; 69; 101; 116; 122; 123 ], true );
+  ]
+
+let test_trajectory (family, size, seed, solver, loop_cuts, n_paths, added_edges, degraded) () =
+  List.iter
+    (fun jobs ->
+      let c = trajectory ~family ~size ~seed ~jobs in
+      let what s = Printf.sprintf "%s/%d seed %d jobs %d: %s" family size seed jobs s in
+      let module P = Mf_testgen.Pathgen in
+      check Alcotest.bool (what "run_stats") true (c.P.solver = solver);
+      check Alcotest.int (what "ilp nodes") solver.Ilp.rs_nodes c.P.ilp_nodes;
+      check Alcotest.int (what "loop cuts") loop_cuts c.P.loop_cuts;
+      check Alcotest.int (what "paths") n_paths c.P.n_paths;
+      check Alcotest.(list int) (what "added edges") added_edges c.P.added_edges;
+      check Alcotest.bool (what "budget exhausted") degraded c.P.degraded)
+    [ 1; 2 ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   (* exact-value assertions require the fault-free pipeline *)
@@ -333,4 +389,11 @@ let () =
           qt ablation_objective_prop;
           qt upper_bound_random_prop;
         ] );
+      ( "pinned trajectory",
+        List.map
+          (fun ((family, size, seed, _, _, _, _, _) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s/%d seed %d" family size seed)
+              `Quick (test_trajectory case))
+          pinned );
     ]

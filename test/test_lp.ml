@@ -78,7 +78,7 @@ let test_fixing () =
   let x = Lp.add_var ~upper:1. ~obj:(-1.) lp in
   let y = Lp.add_var ~upper:1. ~obj:(-1.) lp in
   Lp.add_row lp [ (1., x); (1., y) ] Lp.Le 2.;
-  let fix v = if v = x then Some 0. else None in
+  let fix = [ (x, 0.) ] in
   (match Lp.solve ~fix lp with
    | Lp.Optimal { objective; values } ->
      check feps "x fixed" 0. values.(x);
@@ -123,7 +123,11 @@ let test_bad_inputs () =
   let lp = Lp.create () in
   let x = Lp.add_var lp in
   Alcotest.check_raises "bad var in row" (Invalid_argument "Lp.add_row: bad variable") (fun () ->
-      Lp.add_row lp [ (1., x + 1) ] Lp.Le 1.)
+      Lp.add_row lp [ (1., x + 1) ] Lp.Le 1.);
+  (* a fixing past the structural variables would clamp a logical *)
+  Lp.add_row lp [ (1., x) ] Lp.Le 1.;
+  Alcotest.check_raises "bad fixed var" (Invalid_argument "Lp.solve_b: bad fixed variable")
+    (fun () -> ignore (Lp.solve ~fix:[ (x + 1, 0.) ] lp))
 
 (* Random LPs with a known feasible point: the optimum must not exceed the
    witness objective, and returned values must satisfy all rows. *)
@@ -192,7 +196,10 @@ let warm_cold_prop =
       | Lp.Optimal _, Some parent, _ ->
         (* a branching step: clamp a few variables to 0/1 *)
         let fixed = Array.init n (fun _ -> if Rng.int rng 3 = 0 then Some (float_of_int (Rng.int rng 2)) else None) in
-        let fix v = Array.to_list (Array.mapi (fun j var -> (var, fixed.(j))) vars) |> List.assoc v in
+        let fix =
+          List.filter_map Fun.id
+            (Array.to_list (Array.mapi (fun j var -> Option.map (fun x -> (var, x)) fixed.(j)) vars))
+        in
         (* half the time, also append a cut row (basis extension path) *)
         if Rng.bool rng then begin
           let coefs = Array.init n (fun _ -> Rng.float rng 2.) in
@@ -211,6 +218,106 @@ let warm_cold_prop =
         end
       | (Lp.Infeasible | Lp.Numerical _), _, _ -> true (* nothing to warm-start *)
       | _ -> false)
+
+(* Random sparse models at the scale of the chip relaxations: 300-359 rows,
+   2-5 nonzeros per row, every variable boxed.  Only the first quarter of
+   the rows is present when the parent basis is taken; the rest arrive like
+   a round of lazy cuts, logicals basic, together with a branching-style
+   fixing.  The cold solve runs several times past the 64-eta
+   refactorisation interval, and the warm dual sometimes once. *)
+let sparse_lp rng =
+  let m = 300 + Rng.int rng 60 in
+  let n = m + Rng.int rng 100 in
+  let lp = Lp.create () in
+  let witness = Array.init n (fun _ -> Rng.float rng 1.) in
+  let vars = Array.init n (fun _ -> Lp.add_var ~upper:1. ~obj:(Rng.float rng 4. -. 2.) lp) in
+  let rows =
+    List.init m (fun _ ->
+        let terms =
+          List.init (2 + Rng.int rng 4) (fun _ -> (Rng.float rng 3. -. 1., vars.(Rng.int rng n)))
+        in
+        let lhs = List.fold_left (fun acc (c, v) -> acc +. (c *. witness.(v))) 0. terms in
+        if Rng.bool rng then (terms, Lp.Le, lhs +. Rng.float rng 2.)
+        else (terms, Lp.Ge, lhs -. Rng.float rng 2.))
+  in
+  (lp, vars, rows)
+
+let sparse_warm_cold_prop =
+  QCheck.Test.make ~name:"warm dual agrees with cold primal on sparse m>=300 models"
+    ~count:20 QCheck.int (fun seed ->
+      let rng = Rng.create ~seed:(abs seed) in
+      let lp, vars, rows = sparse_lp rng in
+      let early = List.length rows / 4 in
+      let add = List.iter (fun (terms, rel, rhs) -> Lp.add_row lp terms rel rhs) in
+      add (List.filteri (fun i _ -> i < early) rows);
+      match Lp.solve_b lp with
+      | Lp.Optimal _, Some parent, _ ->
+        add (List.filteri (fun i _ -> i >= early) rows);
+        let fix =
+          Array.to_list vars
+          |> List.filter_map (fun v ->
+                 if Rng.int rng 40 = 0 then Some (v, float_of_int (Rng.int rng 2)) else None)
+        in
+        let cold, _, cold_info = Lp.solve_b ~fix lp in
+        let warm, _, _ = Lp.solve_b ~fix ~warm:parent lp in
+        cold_info.Lp.primal_pivots > 64
+        && (not cold_info.Lp.warm)
+        && begin
+          match (cold, warm) with
+          | Lp.Optimal { objective = a; _ }, Lp.Optimal { objective = b; _ } ->
+            abs_float (a -. b) < 1e-6
+          | Lp.Infeasible, Lp.Infeasible -> true
+          | _ -> false
+        end
+      | (Lp.Infeasible | Lp.Numerical _), _, _ -> true
+      | _ -> false)
+
+(* A warm basis whose columns are linearly dependent (a column and its
+   duplicate both basic) fails the factorisation partway through; the
+   solve must fall back to the cold path and return exactly the cold
+   result. *)
+let test_singular_warm_basis () =
+  let rng = Rng.create ~seed:7 in
+  let m = 300 in
+  let random_col () =
+    let rows = List.sort_uniq compare (List.init (2 + Rng.int rng 3) (fun _ -> Rng.int rng m)) in
+    {
+      Simplex.idx = Array.of_list rows;
+      v = Array.of_list (List.map (fun _ -> Rng.float rng 3. -. 1.) rows);
+    }
+  in
+  let structural = Array.init m (fun _ -> random_col ()) in
+  let slacks = Array.init m (fun i -> { Simplex.idx = [| i |]; v = [| 1. |] }) in
+  let cols = Array.concat [ structural; slacks; [| structural.(0) |] ] in
+  let n = Array.length cols in
+  let dup = n - 1 in
+  let boxed j = j < m || j = dup in
+  (* right-hand side keeps a random fractional point feasible *)
+  let b = Array.init m (fun _ -> Rng.float rng 1.) in
+  Array.iter
+    (fun (c : Simplex.col) ->
+      let x = Rng.float rng 1. in
+      Array.iteri (fun p i -> b.(i) <- b.(i) +. (c.Simplex.v.(p) *. x)) c.Simplex.idx)
+    structural;
+  let lower = Array.make n 0. in
+  let upper = Array.init n (fun j -> if boxed j then 1. else infinity) in
+  let c = Array.init n (fun j -> if boxed j then Rng.float rng 4. -. 2. else 0.) in
+  let problem = { Simplex.m; n; cols; b } in
+  let cold, _, cold_info = Simplex.solve problem ~lower ~upper ~c in
+  let basic = Array.init m (fun i -> m + i) in
+  basic.(0) <- 0;
+  basic.(1) <- dup;
+  let vstat = Array.make n Simplex.At_lower in
+  Array.iter (fun j -> vstat.(j) <- Simplex.Basic) basic;
+  let warm, _, warm_info = Simplex.solve ~warm:{ Simplex.basic; vstat } problem ~lower ~upper ~c in
+  check Alcotest.bool "cold optimal" true
+    (match cold with Simplex.Optimal _ -> true | _ -> false);
+  check Alcotest.bool "cold root crossed a refactorisation" true
+    (cold_info.Simplex.primal_pivots > 64);
+  check Alcotest.bool "fell back" true warm_info.Simplex.fell_back;
+  check Alcotest.bool "not warm" false warm_info.Simplex.warm;
+  check Alcotest.int "cold pivots" cold_info.Simplex.primal_pivots warm_info.Simplex.primal_pivots;
+  check Alcotest.bool "cold result" true (warm = cold)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -234,5 +341,7 @@ let () =
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
           qt random_lp_prop;
           qt warm_cold_prop;
+          Alcotest.test_case "singular warm basis falls back" `Quick test_singular_warm_basis;
+          qt sparse_warm_cold_prop;
         ] );
     ]
