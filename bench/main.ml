@@ -11,7 +11,7 @@
      dune exec bench/main.exe -- verify       -- static-verification overhead vs generation
      dune exec bench/main.exe -- perf         -- LP-core counters, gated vs BENCH_ilp.json
      dune exec bench/main.exe -- perf-baseline -- rewrite the BENCH_ilp.json baseline
-     dune exec bench/main.exe -- ilp          -- parallel B&B jobs sweep + presolve/cut ablation
+     dune exec bench/main.exe -- ilp          -- parallel B&B jobs sweep
      dune exec bench/main.exe -- sched        -- scheduler fast path, gated vs BENCH_sched.json
      dune exec bench/main.exe -- sched-baseline -- rewrite the BENCH_sched.json baseline
      dune exec bench/main.exe -- scale        -- chip-family size sweep, gated vs BENCH_scale.json
@@ -470,10 +470,7 @@ let perf_checks =
       ("nodes", Exact);
       ("warm_eligible", Exact);
       ("warm_taken", Exact);
-      ("cache_hits", Exact);
       ("phase1_solves", Exact);
-      ("presolve_fixed", Exact);
-      ("cover_cuts", Exact);
       ("refactors", Exact);
       ("objectives", Objectives);
     ]
@@ -481,8 +478,8 @@ let perf_checks =
 let perf ~write_baseline () =
   Format.printf "@.== Perf: LP core on the pool-build matrix (pools are per-chip; each@.";
   Format.printf "   feeds all of ivd/pid/cpa) — %d job%s ==@.@." jobs (if jobs = 1 then "" else "s");
-  Format.printf "%-12s %10s %10s %8s %7s %7s %7s %7s@." "chip" "wall[ms]" "pivots" "dual"
-    "nodes" "warm%" "cache" "phase1";
+  Format.printf "%-12s %10s %10s %8s %7s %7s %7s@." "chip" "wall[ms]" "pivots" "dual" "nodes"
+    "warm%" "phase1";
   let params = Codesign.quick_params in
   let entries =
     List.map
@@ -511,18 +508,15 @@ let perf ~write_baseline () =
             ("nodes", get Mf_ilp.Ilp.Stats.nodes);
             ("warm_eligible", get Mf_ilp.Ilp.Stats.warm_eligible);
             ("warm_taken", get Mf_ilp.Ilp.Stats.warm_taken);
-            ("cache_hits", get Mf_ilp.Ilp.Stats.cache_hits);
             ("phase1_solves", get Mf_lp.Simplex.Stats.phase1_solves);
-            ("presolve_fixed", get Mf_ilp.Ilp.Stats.presolve_fixed);
-            ("cover_cuts", get Mf_ilp.Ilp.Stats.cover_cuts);
             ("refactors", get Mf_lp.Simplex.Stats.refactors);
           ]
         in
         let c k = List.assoc k counters in
-        Format.printf "%-12s %10.0f %10d %8d %7d %6.1f%% %7d %7d@." chip_name wall_ms
+        Format.printf "%-12s %10.0f %10d %8d %7d %6.1f%% %7d@." chip_name wall_ms
           (c "pivots") (c "dual_pivots") (c "nodes")
           (100. *. float_of_int (c "warm_taken") /. float_of_int (max 1 (c "warm_eligible")))
-          (c "cache_hits") (c "phase1_solves");
+          (c "phase1_solves");
         let objective = function None -> Json.Null | Some o -> Json.Num o in
         let counters = List.map (fun (k, v) -> (k, Ledger.int v)) counters in
         {
@@ -538,13 +532,12 @@ let perf ~write_baseline () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel branch-and-bound: jobs sweep over the path-synthesis ILP on
-   every benchmark chip, plus the presolve / cover-cut ablation.  The
-   differential test suite pins the outputs bit-identical across job
-   counts; here we report the wall-clock ratio (on a single-core
-   container the sweep measures dispatch overhead, not speedup — the
-   identity columns are the point there) and the node-count effect of
-   the root reductions at equal objectives.  Report-only: the gated
-   counters live in [perf] / BENCH_ilp.json. *)
+   every benchmark chip.  The differential test suite pins the outputs
+   bit-identical across job counts; here we report the wall-clock ratio
+   (on a single-core container the sweep measures dispatch overhead, not
+   speedup — the identity column is the point there) and fail if any job
+   count diverges from jobs=1.  The gated counters live in [perf] /
+   BENCH_ilp.json. *)
 
 let ilp_sweep () =
   let cores = Domain.recommended_domain_count () in
@@ -564,13 +557,13 @@ let ilp_sweep () =
       c.Mf_testgen.Pathgen.solver,
       c.Mf_testgen.Pathgen.degraded )
   in
-  let run ?presolve ?cuts ?pool chip =
+  let run ?pool chip =
     let t0 = Unix.gettimeofday () in
-    let r = Mf_testgen.Pathgen.generate ~node_limit:400 ?presolve ?cuts ?pool chip in
+    let r = Mf_testgen.Pathgen.generate ~node_limit:400 ?pool chip in
     ((Unix.gettimeofday () -. t0) *. 1e3, r)
   in
-  Format.printf "%-12s %5s %10s %8s %8s %7s %10s@." "chip" "jobs" "wall[ms]" "nodes"
-    "batches" "covers" "identical";
+  Format.printf "%-12s %5s %10s %8s %8s %10s@." "chip" "jobs" "wall[ms]" "nodes" "batches"
+    "identical";
   let mismatches = ref [] in
   List.iter
     (fun chip_name ->
@@ -580,9 +573,9 @@ let ilp_sweep () =
       | Error f ->
         Format.printf "%-12s %5d %s@." chip_name 1 (Mf_util.Fail.to_string f)
       | Ok base ->
-        Format.printf "%-12s %5d %10.1f %8d %8d %7d %10s@." chip_name 1 wall1
+        Format.printf "%-12s %5d %10.1f %8d %8d %10s@." chip_name 1 wall1
           base.Mf_testgen.Pathgen.ilp_nodes base.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_batches
-          base.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_cover_cuts "-";
+          "-";
         List.iter
           (fun j ->
             let wall, r = Domain_pool.with_pool ~jobs:j (fun pool -> run ~pool chip) in
@@ -595,86 +588,13 @@ let ilp_sweep () =
               if not same then
                 mismatches := Printf.sprintf "%s: jobs=%d diverged from jobs=1" chip_name j
                               :: !mismatches;
-              Format.printf "%-12s %5d %10.1f %8d %8d %7d %10b@." chip_name j wall
+              Format.printf "%-12s %5d %10.1f %8d %8d %10b@." chip_name j wall
                 c.Mf_testgen.Pathgen.ilp_nodes c.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_batches
-                c.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_cover_cuts same)
-          [ 4; 8 ])
+                same)
+          [ 2; 4; 8 ])
     chips;
-  Format.printf "@.-- presolve + cover cuts: explored nodes at equal objectives --@.";
-  Format.printf "%-12s %10s %10s %10s %10s@." "chip" "nodes on" "nodes off" "reduction"
-    "objective";
-  List.iter
-    (fun chip_name ->
-      let chip = Option.get (Benchmarks.by_name chip_name) in
-      let _, on = run chip in
-      let _, off = run ~presolve:false ~cuts:false chip in
-      match (on, off) with
-      | Ok on, Ok off ->
-        let obj c = List.length c.Mf_testgen.Pathgen.added_edges in
-        let n_on = on.Mf_testgen.Pathgen.ilp_nodes
-        and n_off = off.Mf_testgen.Pathgen.ilp_nodes in
-        let red = 100. *. (1. -. (float_of_int n_on /. float_of_int (max 1 n_off))) in
-        if obj on <> obj off then
-          mismatches := Printf.sprintf "%s: objective drifted under presolve/cuts (%d vs %d)"
-                          chip_name (obj on) (obj off) :: !mismatches;
-        Format.printf "%-12s %10d %10d %9.1f%% %10s@." chip_name n_on n_off red
-          (if obj on = obj off then Printf.sprintf "%d = %d" (obj on) (obj off)
-           else Printf.sprintf "%d <> %d!" (obj on) (obj off))
-      | (Error f, _ | _, Error f) ->
-        mismatches := Printf.sprintf "%s: ablation run failed: %s" chip_name
-                        (Mf_util.Fail.to_string f) :: !mismatches)
-    chips;
-  (* the path-synthesis rows are unit-coefficient covering constraints, so
-     knapsack covers never separate there and the node counts above are
-     budget-pinned; this corpus has the coefficient spread the cover cuts
-     target, and the search runs to proven optimality *)
-  Format.printf "@.-- presolve + extended cover cuts on a knapsack corpus (12 models) --@.";
-  let tot_on = ref 0 and tot_off = ref 0 in
-  for seed = 1 to 12 do
-    let build () =
-      let rng = Rng.create ~seed in
-      let n = 18 + Rng.int rng 6 in
-      let ilp = Mf_ilp.Ilp.create () in
-      let vars =
-        Array.init n (fun _ ->
-            Mf_ilp.Ilp.add_binary ~obj:(-.float_of_int (1 + Rng.int rng 9)) ilp)
-      in
-      let m = 4 + Rng.int rng 3 in
-      for _ = 1 to m do
-        let terms =
-          Array.to_list
-            (Array.map (fun v -> (float_of_int (1 + Rng.int rng 7), v)) vars)
-        in
-        let total = List.fold_left (fun a (c, _) -> a +. c) 0. terms in
-        Mf_ilp.Ilp.add_row ilp terms Mf_ilp.Ilp.Le (0.35 *. total)
-      done;
-      ilp
-    in
-    let run reductions =
-      let ilp = build () in
-      match
-        Mf_ilp.Ilp.solve ~node_limit:200_000 ~presolve:reductions ~cuts:reductions ilp
-      with
-      | Mf_ilp.Ilp.Optimal { objective; _ } ->
-        Some (objective, (Mf_ilp.Ilp.last_stats ilp).Mf_ilp.Ilp.rs_nodes)
-      | _ -> None
-    in
-    match (run true, run false) with
-    | Some (o_on, n_on), Some (o_off, n_off) ->
-      if o_on <> o_off then
-        mismatches :=
-          Printf.sprintf "knapsack %d: objective drifted under presolve/cuts" seed
-          :: !mismatches;
-      tot_on := !tot_on + n_on;
-      tot_off := !tot_off + n_off
-    | _ ->
-      mismatches := Printf.sprintf "knapsack %d: not solved to optimality" seed :: !mismatches
-  done;
-  Format.printf "nodes with reductions %d, without %d: %.1f%% fewer at equal objectives@."
-    !tot_on !tot_off
-    (100. *. (1. -. (float_of_int !tot_on /. float_of_int (max 1 !tot_off))));
   match !mismatches with
-  | [] -> Format.printf "@.ilp sweep: PASS (jobs=1/4/8 bit-identical, ablation objectives equal)@."
+  | [] -> Format.printf "@.ilp sweep: PASS (jobs=1/2/4/8 bit-identical)@."
   | ms ->
     Format.printf "@.ilp sweep: FAIL@.";
     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev ms);

@@ -202,8 +202,9 @@ let bound_store cache key b =
    (as an index into the pool's entries), the fitness memo (the no-PSO
    baseline scans it) and the evaluation counter.  Plain data only, so
    [Marshal] round-trips it; loadable by binaries built from the same
-   sources. *)
-let snapshot_magic = "mfdft-codesign-checkpoint-v3"
+   sources.  The magic is bumped whenever the marshalled layout changes,
+   including [Ilp.run_stats] inside the pool's configurations. *)
+let snapshot_magic = "mfdft-codesign-checkpoint-v4"
 
 type snapshot = {
   ck_magic : string;

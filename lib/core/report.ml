@@ -64,13 +64,10 @@ let markdown ?(title = "DFT codesign report") (r : Codesign.result) =
   let s = r.config.Mf_testgen.Pathgen.solver in
   out
     "- LP core (final configuration): %d B&B nodes in %d batches, %d primal + %d dual \
-     pivots, %d/%d relaxations warm-started (%d cold fallbacks), %d cache hits\n"
+     pivots, %d/%d relaxations warm-started (%d cold fallbacks)\n"
     s.Mf_ilp.Ilp.rs_nodes s.Mf_ilp.Ilp.rs_batches s.Mf_ilp.Ilp.rs_primal_pivots
     s.Mf_ilp.Ilp.rs_dual_pivots s.Mf_ilp.Ilp.rs_warm_taken s.Mf_ilp.Ilp.rs_warm_eligible
-    s.Mf_ilp.Ilp.rs_fallbacks s.Mf_ilp.Ilp.rs_cache_hits;
-  out "- presolve: %d variables fixed, %d tightenings; %d root cover cuts\n"
-    s.Mf_ilp.Ilp.rs_presolve_fixed s.Mf_ilp.Ilp.rs_presolve_tightened
-    s.Mf_ilp.Ilp.rs_cover_cuts;
+    s.Mf_ilp.Ilp.rs_fallbacks;
   let valid = List.filter (fun v -> v < Codesign.invalid_threshold) r.trace in
   (match valid with
    | [] -> out "- the swarm never found a valid sharing scheme\n"

@@ -8,18 +8,17 @@
     Each node carries the optimal basis of the relaxation that spawned it:
     branching only changes one variable's bounds and lazy cuts only append
     rows, so the child relaxation re-optimises from that basis with the
-    dual simplex instead of solving cold (see {!Mf_lp.Lp.solve_b}).  A
-    bounded per-solve cache keyed by fixing set recalls relaxations
-    re-visited after cut installation.  Neither mechanism changes any
-    result — only the work done — and both can be disabled with
-    [~warm:false] for differential testing.
+    dual simplex instead of solving cold (see {!Mf_lp.Lp.solve_b}).  This
+    changes no result, only the work done, and can be disabled with
+    [~warm:false] for differential testing.  Every counted node is exactly
+    one LP relaxation solve.
 
     {b Parallelism.}  The search is batch-synchronous: each round pops up
     to a fixed number of open nodes (a function of the heap state only,
     never of the job count), solves their LP relaxations concurrently on a
     {!Mf_util.Domain_pool}, then reduces the results sequentially in batch
-    order on the coordinating domain — incumbent updates, branching, cache
-    and statistics, lazy-cut installation all happen there.  The open-node
+    order on the coordinating domain — incumbent updates, branching,
+    statistics, lazy-cut installation all happen there.  The open-node
     heap orders ties by a stable insertion sequence, so the pop order is a
     pure function of the search trajectory.  Consequence: for a given
     model, [solve] returns bit-identical [outcome]/[solution]/{!run_stats}
@@ -70,36 +69,26 @@ module Stats : sig
   val nodes : int Atomic.t
 
   val warm_eligible : int Atomic.t
-  (** Non-root nodes whose relaxation had a usable warm basis (from the
-      parent node or the fixing-set cache). *)
+  (** Non-root nodes whose relaxation had a usable warm basis from the
+      parent node. *)
 
   val warm_taken : int Atomic.t
   (** Relaxations the dual simplex re-optimised from a warm basis. *)
-
-  val cache_hits : int Atomic.t
-  (** Relaxations answered from the fixing-set cache without an LP solve. *)
-
-  val cover_cuts : int Atomic.t
-  (** Knapsack cover cuts installed at root separation. *)
-
-  val presolve_fixed : int Atomic.t
-  (** Variables fixed by presolve bound propagation. *)
 
   val reset : unit -> unit
 end
 
 type run_stats = {
-  rs_nodes : int;  (** nodes expanded (cache-served nodes included) *)
+  rs_nodes : int;  (** nodes expanded, one LP relaxation solve each *)
   rs_batches : int;  (** parallel rounds executed (1..16 nodes each) *)
   rs_warm_eligible : int;
   rs_warm_taken : int;
   rs_fallbacks : int;  (** warm attempts that fell back to a cold solve *)
   rs_cache_hits : int;
+      (** always 0: no relaxation is answered without an LP solve.  Kept so
+          consumers of the record's layout need not change. *)
   rs_primal_pivots : int;
   rs_dual_pivots : int;
-  rs_presolve_fixed : int;  (** variables fixed by presolve *)
-  rs_presolve_tightened : int;  (** presolve bound tightenings + coefficient reductions *)
-  rs_cover_cuts : int;  (** root cover cuts installed *)
 }
 (** Effort accounting for a single {!solve} call — what {!Stats} counts
     process-wide.  Identical for any job count. *)
@@ -111,7 +100,7 @@ val add_stats : run_stats -> run_stats -> run_stats
 
 val nodes_explored : t -> int
 (** Nodes expanded during the most recent {!solve} call (each is one LP
-    relaxation solve or one fixing-set cache hit). *)
+    relaxation solve). *)
 
 val last_stats : t -> run_stats
 (** Full effort breakdown of the most recent {!solve} call. *)
@@ -123,8 +112,6 @@ val solve :
   ?branch_priority:(var -> int) ->
   ?upper_bound:float ->
   ?warm:bool ->
-  ?presolve:bool ->
-  ?cuts:bool ->
   ?pool:Mf_util.Domain_pool.t ->
   t ->
   outcome
@@ -146,17 +133,9 @@ val solve :
     cannot beat it are cut, and solutions no better than it are not
     reported — callers supplying a known feasible solution's value should
     fall back to that solution when the outcome is [Infeasible].
-    [warm] (default true) enables warm-started relaxations and the
-    fixing-set cache; [~warm:false] forces every relaxation to solve cold —
-    results are identical either way.
-    [presolve] (default true) runs {!Mf_lp.Lp.presolve} once before the
-    search: bound tightening with integral rounding plus 0-1 coefficient
-    reduction, in place, rows never deleted.  It changes effort, not
-    results.
-    [cuts] (default true) separates 0-1 knapsack cover cuts at the root
-    over a few rounds.  Cover cuts are derived only from rows present at
-    entry, hence globally valid under any branching: they change effort,
-    never results.
+    [warm] (default true) seeds each non-root relaxation with its parent
+    node's optimal basis; [~warm:false] forces every relaxation to solve
+    cold — results are identical either way.
     [pool] shares its domains across the batch relaxation solves; omitted
     (or with 1 job) everything runs inline on the caller.  Results,
     including {!run_stats}, are bit-identical for any pool size. *)

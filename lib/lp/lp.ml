@@ -26,7 +26,6 @@ type t = {
   mutable obj : float list;
   mutable nv : int;
   mutable rows : row list; (* reversed *)
-  mutable nr : int;
   mutable compiled : compiled option; (* invalidated by every mutation *)
 }
 
@@ -48,7 +47,7 @@ type info = Simplex.info = {
 }
 
 let create () =
-  { lower = []; upper = []; obj = []; nv = 0; rows = []; nr = 0; compiled = None }
+  { lower = []; upper = []; obj = []; nv = 0; rows = []; compiled = None }
 
 let add_var ?(lower = 0.) ?(upper = infinity) ?(obj = 0.) t =
   let id = t.nv in
@@ -71,14 +70,9 @@ let add_row t terms rel rhs =
     (fun (_, v) -> if v < 0 || v >= t.nv then invalid_arg "Lp.add_row: bad variable")
     terms;
   t.rows <- { terms; rel; rhs } :: t.rows;
-  t.nr <- t.nr + 1;
   t.compiled <- None
 
-let n_rows t = t.nr
-
-(* Merge duplicate variables of a term list, sorted by variable — the same
-   normalisation [compile] applies, shared by the presolve pass and the
-   row accessor below. *)
+(* Merge duplicate variables of a term list, sorted by variable. *)
 let merge_terms terms =
   let sorted = List.stable_sort (fun (_, a) (_, b) -> compare (a : int) b) terms in
   let out = ref [] in
@@ -89,11 +83,6 @@ let merge_terms terms =
       | _ -> out := (coef, v) :: !out)
     sorted;
   List.rev !out
-
-let row t i =
-  if i < 0 || i >= t.nr then invalid_arg "Lp.row: bad index";
-  let r = List.nth t.rows (t.nr - 1 - i) in
-  (merge_terms r.terms, r.rel, r.rhs)
 
 let compile t =
   match t.compiled with
@@ -244,191 +233,3 @@ let solve ?max_iters ?budget ?fix t =
   result
 
 let prepare t = ignore (compile t)
-
-(* ------------------------------------------------------------------ *)
-(* Presolve: bound tightening and coefficient reduction on the builder.
-
-   Every deduction is globally valid — implied by the existing rows and
-   bounds — so it survives any later per-solve [?fix] (branch-and-bound
-   fixings land inside the tightened box or make the subproblem
-   infeasible, which the simplex reports).  Rows are modified in place and
-   never deleted: the append-only row layout that {!extend_basis} relies
-   on is preserved. *)
-
-type presolve_stats = {
-  ps_rounds : int;
-  ps_fixed : int;
-  ps_tightened : int;
-  ps_coeffs : int;
-  ps_infeasible : bool;
-}
-
-let presolve ?(integer = fun _ -> false) t =
-  let nv = t.nv in
-  let lower = Array.make (max 1 nv) 0. and upper = Array.make (max 1 nv) 0. in
-  List.iteri (fun i v -> lower.(nv - 1 - i) <- v) t.lower;
-  List.iteri (fun i v -> upper.(nv - 1 - i) <- v) t.upper;
-  let width0 = Array.init nv (fun v -> upper.(v) -. lower.(v)) in
-  let rows = Array.of_list (List.rev t.rows) in
-  let m = Array.length rows in
-  let terms = Array.map (fun r -> Array.of_list (merge_terms r.terms)) rows in
-  let rhs = Array.map (fun r -> r.rhs) rows in
-  let eps = 1e-7 in
-  let tightened = ref 0 and coeffs = ref 0 in
-  let infeasible = ref false in
-  let changed = ref false in
-  (* integral bounds round to the nearest contained integer *)
-  let round_int v =
-    if integer v then begin
-      let l = ceil (lower.(v) -. 1e-6) and u = floor (upper.(v) +. 1e-6) in
-      if l > lower.(v) +. eps then begin
-        lower.(v) <- l;
-        incr tightened;
-        changed := true
-      end;
-      if u < upper.(v) -. eps then begin
-        upper.(v) <- u;
-        incr tightened;
-        changed := true
-      end;
-      if lower.(v) > upper.(v) +. eps then infeasible := true
-    end
-  in
-  for v = 0 to nv - 1 do
-    round_int v
-  done;
-  (* one <=-form row: activity-bound tightening.  The minimum activity is
-     evaluated once per row; bounds improved mid-row only increase it, so
-     the stale value stays a valid underestimate and the next round picks
-     up the slack. *)
-  let tighten_le a b =
-    let minact = ref 0. and n_inf = ref 0 in
-    Array.iter
-      (fun (c, v) ->
-        let contrib = if c > 0. then c *. lower.(v) else c *. upper.(v) in
-        if Float.is_finite contrib then minact := !minact +. contrib else incr n_inf)
-      a;
-    if !n_inf = 0 && !minact > b +. eps then infeasible := true
-    else
-      Array.iter
-        (fun (c, v) ->
-          if c <> 0. then begin
-            let contrib = if c > 0. then c *. lower.(v) else c *. upper.(v) in
-            let contrib_finite = Float.is_finite contrib in
-            (* the rest of the row needs a finite minimum activity *)
-            if !n_inf = 0 || ((not contrib_finite) && !n_inf = 1) then begin
-              let rest = if contrib_finite then !minact -. contrib else !minact in
-              let nb = (b -. rest) /. c in
-              if c > 0. then begin
-                let nb = if integer v then floor (nb +. 1e-6) else nb in
-                if nb < upper.(v) -. eps then begin
-                  upper.(v) <- nb;
-                  incr tightened;
-                  changed := true;
-                  if nb < lower.(v) -. eps then infeasible := true
-                end
-              end
-              else begin
-                let nb = if integer v then ceil (nb -. 1e-6) else nb in
-                if nb > lower.(v) +. eps then begin
-                  lower.(v) <- nb;
-                  incr tightened;
-                  changed := true;
-                  if nb > upper.(v) +. eps then infeasible := true
-                end
-              end
-            end
-          end)
-        a
-  in
-  (* Coefficient reduction (<=-form, binary variable j, finite maximum
-     activity M): if M - a_j < b < M then a_j' = M - b, b' = M - a_j keeps
-     the same 0-1 solution set with a tighter relaxation; the mirrored rule
-     for a_j < 0 shrinks it to b - M at unchanged rhs. *)
-  let reduce_le a b_ref =
-    let maxact = ref 0. and finite = ref true in
-    Array.iter
-      (fun (c, v) ->
-        let contrib = if c > 0. then c *. upper.(v) else c *. lower.(v) in
-        if Float.is_finite contrib then maxact := !maxact +. contrib else finite := false)
-      a;
-    if !finite then
-      Array.iteri
-        (fun j (c, v) ->
-          if integer v && lower.(v) = 0. && upper.(v) = 1. then
-            if c > eps then begin
-              if !maxact -. c < !b_ref -. eps && !b_ref < !maxact -. eps then begin
-                let c' = !maxact -. !b_ref in
-                let b' = !maxact -. c in
-                a.(j) <- (c', v);
-                b_ref := b';
-                maxact := b' +. c';
-                incr coeffs;
-                changed := true
-              end
-            end
-            else if c < -.eps then begin
-              (* maximum activity is unchanged: this term contributes 0 at
-                 its lower bound under both the old and the new coefficient *)
-              if !b_ref > !maxact +. c +. eps && !b_ref < !maxact -. eps then begin
-                a.(j) <- (!b_ref -. !maxact, v);
-                incr coeffs;
-                changed := true
-              end
-            end)
-        a
-  in
-  let negated a = Array.map (fun (c, v) -> (-.c, v)) a in
-  let rounds = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !rounds < 10 && not !infeasible do
-    changed := false;
-    incr rounds;
-    for i = 0 to m - 1 do
-      if not !infeasible then begin
-        (match rows.(i).rel with
-         | Le -> tighten_le terms.(i) rhs.(i)
-         | Ge -> tighten_le (negated terms.(i)) (-.rhs.(i))
-         | Eq ->
-           tighten_le terms.(i) rhs.(i);
-           tighten_le (negated terms.(i)) (-.rhs.(i)));
-        (match rows.(i).rel with
-         | Le ->
-           let b = ref rhs.(i) in
-           reduce_le terms.(i) b;
-           rhs.(i) <- !b
-         | Ge ->
-           let a = negated terms.(i) in
-           let b = ref (-.rhs.(i)) in
-           reduce_le a b;
-           terms.(i) <- negated a;
-           rhs.(i) <- -. !b
-         | Eq -> ())
-      end
-    done;
-    if not !changed then continue_ := false
-  done;
-  let fixed = ref 0 in
-  if not !infeasible then begin
-    for v = 0 to nv - 1 do
-      if width0.(v) > eps && upper.(v) -. lower.(v) <= eps then incr fixed
-    done;
-    if !tightened > 0 || !coeffs > 0 then begin
-      t.lower <- List.rev (Array.to_list (Array.sub lower 0 nv));
-      t.upper <- List.rev (Array.to_list (Array.sub upper 0 nv));
-      t.rows <-
-        List.rev
-          (Array.to_list
-             (Array.mapi
-                (fun i r -> { r with terms = Array.to_list terms.(i); rhs = rhs.(i) })
-                rows));
-      t.compiled <- None
-    end
-  end;
-  {
-    ps_rounds = !rounds;
-    ps_fixed = !fixed;
-    ps_tightened = !tightened;
-    ps_coeffs = !coeffs;
-    ps_infeasible = !infeasible;
-  }

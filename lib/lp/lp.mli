@@ -55,39 +55,11 @@ val add_row : t -> (float * var) list -> relation -> float -> unit
 (** [add_row t terms rel rhs] adds the constraint [Σ coef·var rel rhs].
     Repeated variables in [terms] are summed. *)
 
-val n_rows : t -> int
-
-val row : t -> int -> (float * var) list * relation * float
-(** [row t i] is the [i]-th constraint (0-based, insertion order) with
-    duplicate variables merged and terms sorted by variable — the
-    normal form the compiled model uses.  Read-only access for cut
-    separation. *)
-
 val prepare : t -> unit
 (** Compile and cache the sparse model now.  {!solve_b} compiles lazily
     and caches on the builder; calling [prepare] before fanning solves out
     across domains keeps that one mutation on the coordinator, after which
     concurrent [solve_b] calls only read the compiled form. *)
-
-type presolve_stats = {
-  ps_rounds : int;  (** fixpoint passes executed (capped) *)
-  ps_fixed : int;  (** variables whose bounds collapsed to a point *)
-  ps_tightened : int;  (** bound improvements applied *)
-  ps_coeffs : int;  (** coefficients reduced *)
-  ps_infeasible : bool;  (** bound propagation proved the model infeasible *)
-}
-
-val presolve : ?integer:(var -> bool) -> t -> presolve_stats
-(** Tighten the model in place: activity-based bound tightening (with
-    integral rounding for variables [integer] selects) and 0-1 coefficient
-    reduction on inequality rows, iterated to a capped fixpoint.  Rows are
-    never deleted and the variable/row layout is unchanged, so bases and
-    {!extend_basis} behave exactly as before; every deduction is implied by
-    the model, so solve results are unchanged (only, usually, the effort —
-    and the tightness of the LP relaxation).  Deductions remain valid under
-    any later per-solve [?fix] within the tightened bounds.  When
-    [ps_infeasible] is true the builder is left untouched and the caller
-    should report infeasibility without solving. *)
 
 val solve_b :
   ?max_iters:int ->

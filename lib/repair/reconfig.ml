@@ -315,9 +315,10 @@ let unshare faults0 ~missing ~src_port ~dst_port aug scheme =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing *)
+(* Checkpointing.  The magic is bumped whenever the marshalled layout
+   changes, including [Ilp.run_stats] in [ck_solver]. *)
 
-let snapshot_magic = "mfdft-repair-checkpoint-v1"
+let snapshot_magic = "mfdft-repair-checkpoint-v2"
 
 type snapshot = {
   ck_magic : string;

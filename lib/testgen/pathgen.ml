@@ -330,7 +330,7 @@ let heuristic_cover chip ~weights ~s_node ~t_node =
   List.fold_left better None candidates
 
 let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(node_limit = 1_200)
-    ?budget ?(warm = true) ?presolve ?cuts ?pool chip =
+    ?budget ?(warm = true) ?pool chip =
   let auto_src, auto_dst = farthest_ports chip in
   let src_port = Option.value ~default:auto_src src_port in
   let dst_port = Option.value ~default:auto_dst dst_port in
@@ -402,7 +402,7 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
       let outcome =
         Mf_util.Prof.time "pathgen.ilp_solve" (fun () ->
             Ilp.solve ~node_limit:(max 100 attempt_budget) ?budget ~lazy_cuts ~branch_priority
-              ~upper_bound:(heuristic_cost +. 1e-6) ~warm ?presolve ?cuts ?pool model.ilp)
+              ~upper_bound:(heuristic_cost +. 1e-6) ~warm ?pool model.ilp)
       in
       total_cuts := !total_cuts + !n_cuts;
       total_nodes := !total_nodes + Ilp.nodes_explored model.ilp;

@@ -17,7 +17,7 @@ type config = {
   loop_cuts : int;  (** lazy loop-elimination constraints added *)
   solver : Mf_ilp.Ilp.run_stats;
       (** LP-core effort aggregated over every branch-and-bound run behind
-          this configuration (warm starts, cache hits, pivots) *)
+          this configuration (warm starts, pivots) *)
   degraded : bool;
       (** [true] when the configuration came from the greedy heuristic
           fallback (ILP budget exhausted) rather than the ILP itself *)
@@ -36,8 +36,6 @@ val generate :
   ?node_limit:int ->
   ?budget:Mf_util.Budget.t ->
   ?warm:bool ->
-  ?presolve:bool ->
-  ?cuts:bool ->
   ?pool:Mf_util.Domain_pool.t ->
   Mf_arch.Chip.t ->
   (config, Mf_util.Fail.t) result
@@ -54,9 +52,8 @@ val generate :
     ({!Mf_ilp.Ilp.outcome.Failed}) degrades the same way.  [Error] only
     when even the heuristic cannot cover the chip within [max_paths] paths.
 
-    [warm] (default true), [presolve] and [cuts] (both default true in the
-    solver) are passed through to {!Mf_ilp.Ilp.solve} — each changes effort,
-    not results.  [pool] parallelises each branch-and-bound's relaxation
+    [warm] (default true) is passed through to {!Mf_ilp.Ilp.solve}; it
+    changes effort, not results.  [pool] parallelises each branch-and-bound's relaxation
     batches across its domains; results, including the [solver] stats in
     the returned configuration, are bit-identical for any pool size. *)
 

@@ -211,7 +211,7 @@ let fp outcome =
 
 (* solve a fresh instance of the model (solves mutate the builder with
    installed cuts, so each run rebuilds from the seed) *)
-let run_once ?(max_fired = 2) ~seed ~pool ~cancel_after ?presolve ?cuts () =
+let run_once ?(max_fired = 2) ~seed ~pool ~cancel_after () =
   let rng = Rng.create ~seed in
   let ilp, vars = random_model rng in
   let fired = ref 0 in
@@ -223,9 +223,7 @@ let run_once ?(max_fired = 2) ~seed ~pool ~cancel_after ?presolve ?cuts () =
      | Some _ | None -> ());
     cs
   in
-  let outcome =
-    Ilp.solve ~node_limit:2_000 ~budget ~lazy_cuts ?presolve ?cuts ?pool ilp
-  in
+  let outcome = Ilp.solve ~node_limit:2_000 ~budget ~lazy_cuts ?pool ilp in
   (fp outcome, Ilp.last_stats ilp)
 
 let jobs_differential_prop =
@@ -251,44 +249,16 @@ let budget_truncation_differential_prop =
       in
       serial = parallel)
 
-let ablation_objective_prop =
-  (* presolve and cover cuts change effort, never results: outcome class and
-     optimal objective agree with each pass disabled.  No lazy cuts here —
-     a no-good callback rejects whichever candidate the trajectory reaches
-     first, so with it the four runs would (legitimately) solve different
-     final models. *)
-  QCheck.Test.make ~name:"presolve/cuts on-vs-off: identical objectives" ~count:40
-    QCheck.small_nat (fun seed ->
-      let objective_of = function
-        | Fp_optimal (o, _) -> Some o
-        | Fp_feasible _ | Fp_infeasible | Fp_node_limit | Fp_failed _ -> None
-      in
-      let class_of = function
-        | Fp_optimal _ -> 0
-        | Fp_feasible _ -> 1
-        | Fp_infeasible -> 2
-        | Fp_node_limit -> 3
-        | Fp_failed _ -> 4
-      in
-      let runs =
-        [
-          run_once ~max_fired:0 ~seed ~pool:None ~cancel_after:None ();
-          run_once ~max_fired:0 ~seed ~pool:None ~cancel_after:None ~presolve:false ();
-          run_once ~max_fired:0 ~seed ~pool:None ~cancel_after:None ~cuts:false ();
-          run_once ~max_fired:0 ~seed ~pool:None ~cancel_after:None ~presolve:false
-            ~cuts:false ();
-        ]
-      in
-      let o0, _ = List.hd runs in
-      List.for_all
-        (fun (o, _) ->
-          class_of o = class_of o0
-          &&
-          match (objective_of o, objective_of o0) with
-          | Some a, Some b -> abs_float (a -. b) < 1e-6
-          | None, None -> true
-          | Some _, None | None, Some _ -> false)
-        runs)
+let one_relaxation_per_node_prop =
+  (* every counted node is exactly one LP relaxation solve: a warm dual
+     re-optimisation, or a cold solve (one phase 1 each, warm fallbacks
+     included) — the root is never solved twice or served from elsewhere *)
+  QCheck.Test.make ~name:"each counted node is one relaxation" ~count:60 QCheck.small_nat
+    (fun seed ->
+      let phase1 () = Atomic.get Mf_lp.Simplex.Stats.phase1_solves in
+      let before = phase1 () in
+      let _, st = run_once ~seed ~pool:None ~cancel_after:None () in
+      st.Ilp.rs_nodes = st.Ilp.rs_warm_taken + (phase1 () - before))
 
 let upper_bound_random_prop =
   (* the per-solve cutoff row must behave exactly like incumbent priming:
@@ -324,14 +294,13 @@ let trajectory ~family ~size ~seed ~jobs =
   | Error fl -> Alcotest.fail (Mf_util.Fail.to_string fl)
   | Ok c -> c
 
-let stats ~nodes ~batches ~warm ~cache_hits ~primal ~dual =
+let stats ~nodes ~batches ~warm ~primal ~dual =
   {
     Ilp.zero_stats with
     Ilp.rs_nodes = nodes;
     rs_batches = batches;
     rs_warm_eligible = warm;
     rs_warm_taken = warm;
-    rs_cache_hits = cache_hits;
     rs_primal_pivots = primal;
     rs_dual_pivots = dual;
   }
@@ -339,13 +308,13 @@ let stats ~nodes ~batches ~warm ~cache_hits ~primal ~dual =
 let pinned =
   [
     ( "fpva", 3, 1,
-      stats ~nodes:159 ~batches:13 ~warm:156 ~cache_hits:1 ~primal:344 ~dual:1021,
+      stats ~nodes:158 ~batches:14 ~warm:156 ~primal:344 ~dual:1021,
       3, 3, [], false );
     ( "fpva", 4, 1,
-      stats ~nodes:383 ~batches:27 ~warm:380 ~cache_hits:1 ~primal:548 ~dual:3172,
+      stats ~nodes:382 ~batches:28 ~warm:380 ~primal:548 ~dual:3172,
       9, 3, [], false );
     ( "ring", 8, 1,
-      stats ~nodes:1200 ~batches:86 ~warm:1194 ~cache_hits:3 ~primal:1869 ~dual:4466,
+      stats ~nodes:1200 ~batches:86 ~warm:1197 ~primal:1869 ~dual:4473,
       0, 6, [ 10; 52; 69; 101; 116; 122; 123 ], true );
   ]
 
@@ -386,7 +355,7 @@ let () =
         [
           qt jobs_differential_prop;
           qt budget_truncation_differential_prop;
-          qt ablation_objective_prop;
+          qt one_relaxation_per_node_prop;
           qt upper_bound_random_prop;
         ] );
       ( "pinned trajectory",

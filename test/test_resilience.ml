@@ -139,12 +139,10 @@ let test_chaos_site_filter () =
    must drain the batch and surface one typed outcome — and leave the
    domain pool reusable for the next solve *)
 
-(* vertex cover on an odd cycle: the root LP optimum is all-0.5, and
-   neither presolve nor cover separation can tighten pairwise x_i+x_j >= 1
-   rows — so the search must branch, and worker relaxation tasks (only
-   dispatched for non-root batches) are actually exercised.  (A single
-   sum >= 6.5 row does not work here: the extended cover cut rounds it to
-   sum >= 7 and the root comes back integral.) *)
+(* vertex cover on an odd cycle: the root LP optimum is all-0.5 and the
+   solver never tightens the pairwise x_i+x_j >= 1 rows, so the search
+   must branch — worker relaxation tasks run for the root batch and for
+   the branching batches after it. *)
 let branching_model () =
   let module Ilp = Mf_ilp.Ilp in
   let ilp = Ilp.create () in
@@ -349,6 +347,100 @@ let test_checkpoint_missing_file () =
   | Error f ->
     check Alcotest.string "typed codesign failure" "codesign" (Fail.stage_name f.Fail.stage)
 
+(* A snapshot of an older layout is refused by its magic.  Both
+   checkpoints marshal [Ilp.run_stats] (codesign through the pool's
+   configurations, repair as its solver effort), so a layout change bumps
+   the magic.  A real checkpoint whose magic is rewritten to the previous
+   string (same length, so the marshalled data still reads) must give the
+   typed error on resume, never a crash or a resumed run. *)
+
+let rewrite_magic path ~current ~previous =
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length current in
+  assert (String.length previous = n);
+  let rec find i =
+    if i + n > String.length data then Alcotest.failf "magic %s not found in %s" current path
+    else if String.sub data i n = current then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (String.sub data 0 i);
+      Out_channel.output_string oc previous;
+      Out_channel.output_string oc (String.sub data (i + n) (String.length data - i - n)))
+
+let check_refused ~stage ~what = function
+  | Ok _ -> Alcotest.fail "a checkpoint with the previous magic must be refused"
+  | Error f ->
+    check Alcotest.string "typed failure" stage (Fail.stage_name f.Fail.stage);
+    check Alcotest.bool "names the wrong kind of file" true
+      (let n = String.length what in
+       let rec at i =
+         i + n <= String.length f.Fail.reason
+         && (String.sub f.Fail.reason i n = what || at (i + 1))
+       in
+       at 0)
+
+let test_checkpoint_previous_magic_refused () =
+  let chip = Option.get (Benchmarks.by_name "ivd_chip") in
+  let app = Assays.ivd () in
+  let params = tiny_params ~seed:42 in
+  let path = Filename.temp_file "mfdft_ckpt" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      (match
+         Codesign.run ~params
+           ~checkpoint:{ Codesign.path; every = 1; resume = false; stop_after = Some 1 }
+           chip app
+       with
+      | Ok _ -> Alcotest.fail "stop_after should abort the run"
+      | Error _ -> ());
+      rewrite_magic path ~current:"mfdft-codesign-checkpoint-v4"
+        ~previous:"mfdft-codesign-checkpoint-v3";
+      check_refused ~stage:"codesign" ~what:"is not a codesign checkpoint"
+        (Codesign.run ~params
+           ~checkpoint:{ Codesign.path; every = 0; resume = true; stop_after = None }
+           chip app))
+
+let test_repair_checkpoint_previous_magic_refused () =
+  let module Reconfig = Mf_repair.Reconfig in
+  let chip = Option.get (Benchmarks.by_name "ivd_chip") in
+  let config =
+    match Pathgen.generate ~node_limit:300 chip with
+    | Ok c -> c
+    | Error f -> Alcotest.fail (Fail.to_string f)
+  in
+  let aug = Pathgen.apply chip config in
+  let cuts =
+    Mf_testgen.Cutgen.generate aug ~source:config.Pathgen.src_port
+      ~meter:config.Pathgen.dst_port
+  in
+  let suite = Vectors.of_config config cuts in
+  let suite = if Vectors.is_valid aug suite then suite else Mf_testgen.Repair.run aug suite in
+  let faults =
+    List.map
+      (fun v -> Mf_faults.Fault.Stuck_at_1 v)
+      (Chaos.sample_sites ~seed:3 ~count:1 ~n_sites:(Chip.n_valves aug))
+  in
+  let path = Filename.temp_file "mfdft_repair_ckpt" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      (match
+         Reconfig.repair
+           ~checkpoint:{ Reconfig.path; every = 1; resume = false; stop_after = Some 1 }
+           aug suite faults
+       with
+      | Ok _ -> Alcotest.fail "stop_after should abort the run"
+      | Error _ -> ());
+      rewrite_magic path ~current:"mfdft-repair-checkpoint-v2"
+        ~previous:"mfdft-repair-checkpoint-v1";
+      check_refused ~stage:"repair" ~what:"is not a repair checkpoint"
+        (Reconfig.repair
+           ~checkpoint:{ Reconfig.path; every = 0; resume = true; stop_after = None }
+           aug suite faults))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -387,5 +479,9 @@ let () =
             test_checkpoint_rejects_mismatched_seed;
           Alcotest.test_case "corrupt file refused" `Quick test_checkpoint_corrupt_file;
           Alcotest.test_case "missing file refused" `Quick test_checkpoint_missing_file;
+          Alcotest.test_case "previous magic refused" `Slow
+            test_checkpoint_previous_magic_refused;
+          Alcotest.test_case "repair previous magic refused" `Slow
+            test_repair_checkpoint_previous_magic_refused;
         ] );
     ]
